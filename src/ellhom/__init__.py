@@ -12,10 +12,6 @@ from .characters import (
 )
 from .charring import (
     CharElement,
-    ch_add,
-    ch_conjugate,
-    ch_mul,
-    ch_scale,
     divide_exact,
     half_denominator,
     torus_integral,
@@ -53,8 +49,8 @@ from .rootsystem import (
     Weight,
     WeylElement,
     WeylSubgroup,
-    act,
     build_root_system,
+    dominant_box,
     enumerate_weyl_group,
     parse_type,
     rho_shift,

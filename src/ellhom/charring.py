@@ -164,24 +164,6 @@ class CharElement:
         return cls(int(data["rank"]), terms)
 
 
-# -- module-level operation aliases --------------------------------------------
-
-def ch_add(a: CharElement, b: CharElement) -> CharElement:
-    return a + b
-
-
-def ch_scale(n: int, a: CharElement) -> CharElement:
-    return a * n
-
-
-def ch_mul(a: CharElement, b: CharElement) -> CharElement:
-    return a * b
-
-
-def ch_conjugate(a: CharElement) -> CharElement:
-    return a.conjugate()
-
-
 def weyl_act(w: WeylElement, a: CharElement) -> CharElement:
     """e^mu -> e^{w mu}, extended linearly; a ring automorphism."""
     if w.rank != a.rank:

@@ -1,5 +1,5 @@
 """Command-line front end: root-system dumps, characters, homology, pairing
-matrices over catalogs, and the batch verification suites.
+matrices over catalogs, and the verification suites of ``ellhom.verify``.
 
 Exit codes: 0 all good, 1 verification failure, 2 usage error. JSON reports
 are deterministic for a fixed config and seed (timing is opt-in so that
@@ -10,65 +10,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-import time
-from fractions import Fraction
 
-from .characters import freudenthal_character, weyl_character, weyl_dimension
-from .charring import CharElement, half_denominator, torus_integral, weyl_denominator_full
-from .koszul import (
-    euler_class,
-    euler_class_closed_form,
-    kostant_homology,
-    koszul_n_homology,
-)
-from .pairings import (
-    antisym_transport,
-    check_antisym_i,
-    check_denominator_symmetry,
-    compact_context,
-    dual_class,
-    elliptic_pairing,
-    ext_abelian_graded,
-    homological_pairing,
-    multiplicity_pairing,
-)
+from . import verify
+from .characters import freudenthal_character, weyl_character
+from .koszul import euler_class, koszul_n_homology
+from .pairings import elliptic_pairing, homological_pairing, multiplicity_pairing
 from .rootsystem import (
     CapExceededError,
     UnsupportedTypeError,
     build_root_system,
-    enumerate_weyl_group,
-    classical_weyl_order,
     parse_type,
 )
-from .zoo import (
-    Catalog,
-    GeometricDatum,
-    compact_catalog,
-    dual_standard_class,
-    sl2_catalog,
-    standard_module_class,
-    unequal_rank_catalog,
-)
-
-DEFAULT_SEED = 20260808
-RANK_LE_3 = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2"]
-RANK_LE_2 = ["A1", "A2", "B2", "C2", "G2"]
-SCHUR_TYPES = ["A1", "A2", "B2", "G2"]
-ORDER_CHECK_TYPES = RANK_LE_3 + ["F4"]
-
-SUITES = (
-    "schur",
-    "kazhdan",
-    "osborne",
-    "weyldenom",
-    "antisym",
-    "abelian",
-    "standard",
-    "unequalrank",
-    "oracles",
-)
+from .zoo import Catalog, compact_catalog, sl2_catalog, unequal_rank_catalog
 
 
 class UsageError(Exception):
@@ -91,13 +45,6 @@ def _resolve_type(args) -> "RootSystem":
     return parse_type(args.type, max_rank=args.cap_rank)
 
 
-def _dominant_box(rank: int, bound: int):
-    lams = [()]
-    for _ in range(rank):
-        lams = [l + (c,) for l in lams for c in range(bound + 1)]
-    return sorted(lams)
-
-
 def _emit(payload: dict, args, table_lines=None) -> None:
     if args.emit == "table" and table_lines is not None:
         text = "\n".join(table_lines) + "\n"
@@ -108,340 +55,6 @@ def _emit(payload: dict, args, table_lines=None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-# -- suites ---------------------------------------------------------------
-
-
-def _case(name, inputs, expected, actual):
-    return {
-        "name": name,
-        "inputs": inputs,
-        "expected": str(expected),
-        "actual": str(actual),
-        "pass": str(expected) == str(actual),
-    }
-
-
-def suite_schur(cfg) -> list[dict]:
-    """Multiplicity, elliptic, and homological pairings all equal the
-    Kronecker delta on compact irreducibles."""
-    cases = []
-    for token in cfg["types"] or SCHUR_TYPES:
-        rs = parse_type(token)
-        ctx = compact_context(rs)
-        lams = _dominant_box(rs.rank, cfg["bound"])
-        chars = {lam: weyl_character(lam, rs) for lam in lams}
-        dprod = {lam: weyl_denominator_full(rs) * chars[lam] for lam in lams}
-        homs = {lam: kostant_homology(lam, rs) for lam in lams}
-        eulers = {lam: euler_class(homs[lam]) for lam in lams}
-        mism = {"multiplicity": 0, "elliptic": 0, "homological": 0}
-        nonint = 0
-        for lam in lams:
-            for mu in lams:
-                delta = Fraction(1 if lam == mu else 0)
-                m = Fraction(torus_integral(dprod[lam] * chars[mu].conjugate()), rs.weyl_order)
-                e = elliptic_pairing(eulers[lam], eulers[mu], ctx)
-                h = homological_pairing(homs[lam], homs[mu], ctx)
-                if m != delta:
-                    mism["multiplicity"] += 1
-                if e != delta:
-                    mism["elliptic"] += 1
-                if h != delta:
-                    mism["homological"] += 1
-                if e.denominator != 1 or (e * ctx.w0_order).denominator != 1:
-                    nonint += 1
-        note = f"{token}, {len(lams)}^2 pairs, coords <= {cfg['bound']}"
-        for kind, bad in mism.items():
-            cases.append(_case(f"schur {kind} {token}", note, "0 mismatches", f"{bad} mismatches"))
-        cases.append(_case(f"schur integrality {token}", note, "0 non-integers", f"{nonint} non-integers"))
-    return cases
-
-
-def suite_kazhdan(cfg) -> list[dict]:
-    """Seeded fuzz of the main equality: the elliptic and homological
-    pairings agree on random virtual combinations of compact classes."""
-    cases = []
-    for token in cfg["types"] or RANK_LE_3:
-        rs = parse_type(token)
-        ctx = compact_context(rs)
-        bound = 2 if rs.rank <= 2 else 1
-        basis = []
-        for lam in _dominant_box(rs.rank, bound):
-            h = kostant_homology(lam, rs)
-            basis.append((h, euler_class(h)))
-        rng = random.Random(cfg["seed"])
-        mismatches = 0
-        nonint = 0
-        for _ in range(cfg["trials"]):
-            combos = []
-            for _ in range(2):
-                coeffs = [rng.randint(-3, 3) for _ in basis]
-                xi = CharElement.zero(rs.rank)
-                gh = basis[0][0].scale(0)
-                for c, (h, e) in zip(coeffs, basis):
-                    if c:
-                        xi = xi + e * c
-                        gh = gh + h.scale(c)
-                combos.append((gh, xi))
-            ell = elliptic_pairing(combos[0][1], combos[1][1], ctx)
-            hom = homological_pairing(combos[0][0], combos[1][0], ctx)
-            if ell != hom:
-                mismatches += 1
-            if ell.denominator != 1:
-                nonint += 1
-        note = f"{token}, {cfg['trials']} seeded pairs, basis coords <= {bound}"
-        cases.append(_case(f"kazhdan {token}", note, "0 mismatches", f"{mismatches} mismatches"))
-        cases.append(_case(f"kazhdan integrality {token}", note, "0 non-integers", f"{nonint} non-integers"))
-    return cases
-
-
-def suite_osborne(cfg) -> list[dict]:
-    """Three-way equality of the chain-complex Euler class, the closed form,
-    and half_denominator times the Weyl character."""
-    cases = []
-    bound = min(cfg["bound"], 2)
-    for token in cfg["types"] or RANK_LE_2:
-        rs = parse_type(token)
-        half = half_denominator(rs)
-        bad = 0
-        count = 0
-        for lam in _dominant_box(rs.rank, bound):
-            gh = koszul_n_homology(lam, rs.positive_roots, rs, cap_dim=cfg["cap_dim"])
-            a = euler_class(gh)
-            b = half * weyl_character(lam, rs)
-            c = euler_class_closed_form(lam, rs)
-            count += 1
-            if not (a == b == c):
-                bad += 1
-        note = f"{token}, {count} weights, coords <= {bound}"
-        cases.append(_case(f"osborne {token}", note, "0 mismatches", f"{bad} mismatches"))
-    return cases
-
-
-def suite_weyldenom(cfg) -> list[dict]:
-    """Denominator transformation under every Weyl element."""
-    cases = []
-    for token in cfg["types"] or RANK_LE_3:
-        rs = parse_type(token)
-        group = enumerate_weyl_group(rs, cap=cfg["cap_weyl"])
-        bad = sum(0 if check_denominator_symmetry(w, rs) else 1 for w in group)
-        cases.append(
-            _case(f"weyldenom {token}", f"{token}, all {group.order} elements", "0 failures", f"{bad} failures")
-        )
-    return cases
-
-
-def suite_antisym(cfg) -> list[dict]:
-    """Euler-class equivariance under W0 and transport to n_w, the latter
-    against direct chain-complex recomputation."""
-    cases = []
-    for token in cfg["types"] or RANK_LE_2:
-        rs = parse_type(token)
-        ctx = compact_context(rs)
-        group = rs.weyl_group()
-        bad_i = 0
-        checks = 0
-        for lam in _dominant_box(rs.rank, min(cfg["bound"], 2)):
-            xi = euler_class_closed_form(lam, rs)
-            for w in group:
-                checks += 1
-                if not check_antisym_i(xi, w, ctx):
-                    bad_i += 1
-        cases.append(
-            _case(f"antisym(i) {token}", f"{token}, {checks} (class, w) checks", "0 failures", f"{bad_i} failures")
-        )
-        fam = [tuple([0] * rs.rank), rs.rho]
-        fam += [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
-        fam = sorted(set(fam))
-        bad_ii = 0
-        checks = 0
-        for lam in fam:
-            xi = euler_class(koszul_n_homology(lam, rs.positive_roots, rs, cap_dim=cfg["cap_dim"]))
-            for w in group:
-                nw = tuple(sorted(w.act(a) for a in rs.positive_roots))
-                direct = euler_class(koszul_n_homology(lam, nw, rs, cap_dim=cfg["cap_dim"]))
-                checks += 1
-                if direct != antisym_transport(xi, w, ctx):
-                    bad_ii += 1
-        cases.append(
-            _case(f"antisym(ii) {token}", f"{token}, {checks} (class, w) recomputations", "0 failures", f"{bad_ii} failures")
-        )
-    return cases
-
-
-def suite_abelian(cfg) -> list[dict]:
-    """Graded Ext over abelian Lie algebras: binomial dimensions at the
-    trivial character, zero otherwise, Euler sum always zero."""
-    from math import comb
-
-    cases = []
-    for d in range(1, 7):
-        dims0 = ext_abelian_graded([0] * d, d)
-        expected = [comb(d, p) for p in range(d + 1)]
-        cases.append(_case(f"abelian nu=0 d={d}", "trivial character", expected, dims0))
-        euler0 = sum((-1) ** p * v for p, v in enumerate(dims0))
-        cases.append(_case(f"abelian nu=0 euler d={d}", "trivial character", 0, euler0))
-        dims1 = ext_abelian_graded([Fraction(1, 2)] + [0] * (d - 1), d)
-        cases.append(_case(f"abelian nu!=0 d={d}", "nonzero character", [0] * (d + 1), dims1))
-    cases.append(_case("abelian d=0", "empty algebra", [1], ext_abelian_graded([], 0)))
-    return cases
-
-
-def suite_standard(cfg) -> list[dict]:
-    """Standard-module classes: discrete-series orthogonality for the
-    rank-one split preset, open-orbit vanishing, and agreement of the two
-    dual-class formulas on seeded closed-orbit data."""
-    cases = []
-    cat = sl2_catalog(cfg["bound"])
-    ctx = cat.context
-    closed = [m for m in cat.modules if m.provenance == "standard_closed"]
-    openm = [m for m in cat.modules if m.provenance == "standard_open"]
-    bad = 0
-    nonint = 0
-    for a in closed:
-        for b in closed:
-            v = elliptic_pairing(a.euler, b.euler, ctx)
-            if v != (1 if a.label == b.label else 0):
-                bad += 1
-            if v.denominator != 1:
-                nonint += 1
-    cases.append(
-        _case("standard sl2 orthogonality", f"{len(closed)} closed classes", "identity matrix", "identity matrix" if bad == 0 else f"{bad} entries off")
-    )
-    cases.append(_case("standard sl2 integrality", f"{len(closed)}^2 pairs", "0 non-integers", f"{nonint} non-integers"))
-    bad_open = 0
-    for m in cat.modules:
-        for o in openm:
-            if elliptic_pairing(o.euler, m.euler, ctx) != 0:
-                bad_open += 1
-            if homological_pairing(o.graded(), m.graded(), ctx) != 0:
-                bad_open += 1
-    cases.append(_case("standard open-orbit vanishing", "both pairings vs all classes", "all zero", "all zero" if bad_open == 0 else f"{bad_open} nonzero"))
-    rng = random.Random(cfg["seed"])
-    bad_dual = 0
-    for rs_token in ("A1", "B2"):
-        rs = parse_type(rs_token)
-        cctx = compact_context(rs)
-        for _ in range(25):
-            v = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
-            datum = GeometricDatum(closed=True, v_weight=v, s=rng.randint(0, 3), ctx=cctx)
-            direct = dual_standard_class(datum).euler
-            composed = dual_class(standard_module_class(datum).euler, cctx)
-            if direct != composed:
-                bad_dual += 1
-    cases.append(_case("standard dual agreement", "50 seeded closed-orbit data, rank <= 2", "0 mismatches", f"{bad_dual} mismatches"))
-    return cases
-
-
-def suite_unequalrank(cfg) -> list[dict]:
-    """Both pairings are exactly zero on unequal-rank contexts, by the
-    short-circuit and by explicit abelian-Ext Euler vanishing."""
-    cases = []
-    cat = unequal_rank_catalog()
-    ctx = cat.context
-    bad = 0
-    for a in cat.modules:
-        for b in cat.modules:
-            if elliptic_pairing(a.euler, b.euler, ctx) != 0:
-                bad += 1
-            if homological_pairing(a.graded(), b.graded(), ctx) != 0:
-                bad += 1
-    cases.append(_case("unequal-rank short-circuit", f"{len(cat.modules)} stubs, both kinds", "all zero", "all zero" if bad == 0 else f"{bad} nonzero"))
-    bad_euler = 0
-    for d in range(1, 7):
-        for nu in ([0] * d, [1] + [0] * (d - 1)):
-            dims = ext_abelian_graded(nu, d)
-            if sum((-1) ** p * v for p, v in enumerate(dims)) != 0:
-                bad_euler += 1
-    cases.append(_case("unequal-rank ext vanishing", "d = 1..6, nu zero and nonzero", "all Euler sums 0", "all Euler sums 0" if bad_euler == 0 else f"{bad_euler} nonzero"))
-    return cases
-
-
-def suite_oracles(cfg) -> list[dict]:
-    """Cross-checks: the two character algorithms agree, Weyl group orders
-    match the classical formulas, and CT(D) = |W|."""
-    cases = []
-    for token in cfg["types"] or SCHUR_TYPES:
-        rs = parse_type(token)
-        bad = 0
-        lams = _dominant_box(rs.rank, cfg["bound"])
-        for lam in lams:
-            chi_f = freudenthal_character(lam, rs)
-            chi_w = weyl_character(lam, rs)
-            if chi_f != chi_w or chi_f.coefficient_sum() != weyl_dimension(lam, rs):
-                bad += 1
-        cases.append(_case(f"oracles characters {token}", f"{len(lams)} weights, coords <= {cfg['bound']}", "0 mismatches", f"{bad} mismatches"))
-    bad_orders = []
-    for token in ORDER_CHECK_TYPES:
-        rs = parse_type(token)
-        if enumerate_weyl_group(rs, cap=cfg["cap_weyl"]).order != classical_weyl_order(rs.series, rs.rank):
-            bad_orders.append(token)
-    cases.append(_case("oracles weyl orders", ", ".join(ORDER_CHECK_TYPES), "all match", "all match" if not bad_orders else f"off: {bad_orders}"))
-    bad_ct = []
-    for token in RANK_LE_3:
-        rs = parse_type(token)
-        if torus_integral(weyl_denominator_full(rs)) != rs.weyl_order:
-            bad_ct.append(token)
-    cases.append(_case("oracles CT(D) = |W|", ", ".join(RANK_LE_3), "all match", "all match" if not bad_ct else f"off: {bad_ct}"))
-    return cases
-
-
-SUITE_RUNNERS = {
-    "schur": suite_schur,
-    "kazhdan": suite_kazhdan,
-    "osborne": suite_osborne,
-    "weyldenom": suite_weyldenom,
-    "antisym": suite_antisym,
-    "abelian": suite_abelian,
-    "standard": suite_standard,
-    "unequalrank": suite_unequalrank,
-    "oracles": suite_oracles,
-}
-
-
-def run_suites(cfg) -> dict:
-    reports = []
-    for name in cfg["suites"]:
-        runner = SUITE_RUNNERS[name]
-        start = time.monotonic()
-        try:
-            cases = runner(cfg)
-        except CapExceededError as exc:
-            cases = [
-                {
-                    "name": f"{name}",
-                    "inputs": "",
-                    "expected": "completed",
-                    "actual": f"skipped: cap ({exc})",
-                    "pass": False,
-                }
-            ]
-        elapsed_ms = int((time.monotonic() - start) * 1000)
-        passed = sum(1 for c in cases if c["pass"])
-        report = {
-            "suite": name,
-            "cases": cases,
-            "summary": {"total": len(cases), "passed": passed, "failed": len(cases) - passed},
-        }
-        if cfg["timing"]:
-            report["timing_ms"] = elapsed_ms
-        reports.append(report)
-    total = sum(r["summary"]["total"] for r in reports)
-    passed = sum(r["summary"]["passed"] for r in reports)
-    return {
-        "config": {
-            "types": cfg["types"],
-            "bound": cfg["bound"],
-            "trials": cfg["trials"],
-            "suites": list(cfg["suites"]),
-            "cap_weyl": cfg["cap_weyl"],
-            "cap_dim": cfg["cap_dim"],
-        },
-        "seed": cfg["seed"],
-        "reports": reports,
-        "summary": {"total": total, "passed": passed, "failed": total - passed},
-    }
 
 
 # -- commands ---------------------------------------------------------------
@@ -556,7 +169,7 @@ def cmd_verify(args) -> int:
         "bound": args.bound,
         "trials": args.trials,
         "seed": args.seed,
-        "suites": args.suite.split(",") if args.suite else list(SUITES),
+        "suites": args.suite.split(",") if args.suite else list(verify.SUITES),
         "cap_weyl": args.cap_weyl,
         "cap_dim": args.cap_dim,
         "timing": args.timing,
@@ -566,10 +179,10 @@ def cmd_verify(args) -> int:
     for key in ("cap_weyl", "cap_dim", "bound", "trials"):
         if cfg[key] <= 0:
             raise UsageError(f"{key} must be positive, got {cfg[key]}")
-    unknown = [s for s in cfg["suites"] if s not in SUITE_RUNNERS]
+    unknown = [s for s in cfg["suites"] if s not in verify.SUITE_RUNNERS]
     if unknown:
-        raise UsageError(f"unknown suites {unknown}; available: {', '.join(SUITES)}")
-    result = run_suites(cfg)
+        raise UsageError(f"unknown suites {unknown}; available: {', '.join(verify.SUITES)}")
+    result = verify.run_suites(cfg)
     lines = []
     for report in result["reports"]:
         for case in report["cases"]:
@@ -616,9 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--emit", choices=["json", "table"], default="json")
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--cap-weyl", type=int, default=10**6, dest="cap_weyl")
-        p.add_argument("--cap-dim", type=int, default=2000, dest="cap_dim")
+        p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+        p.add_argument("--cap-weyl", type=int, default=verify.DEFAULT_WEYL_CAP, dest="cap_weyl")
+        p.add_argument("--cap-dim", type=int, default=verify.DEFAULT_DIM_CAP, dest="cap_dim")
         p.add_argument("--cap-rank", type=int, default=8, dest="cap_rank")
 
     p = sub.add_parser("rootsys", help="dump a root system")
@@ -655,10 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pairing)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--suite", default=None, help=f"comma-separated subset of: {', '.join(SUITES)}")
+    p.add_argument("--suite", default=None, help=f"comma-separated subset of: {', '.join(verify.SUITES)}")
     p.add_argument("--type", default=None, help="restrict type-parametrized suites to one type")
-    p.add_argument("--bound", type=int, default=3)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--bound", type=int, default=verify.DEFAULT_BOUND)
+    p.add_argument("--trials", type=int, default=verify.DEFAULT_TRIALS)
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--timing", action="store_true", help="include timing in reports")
     common(p)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial
 
 from .linalg import fraction_inverse, int_matrix_inverse
@@ -117,6 +118,12 @@ def classical_weyl_order(series: str, rank: int) -> int:
     return 12  # G2
 
 
+def _matmul(a, b) -> tuple[tuple[int, ...], ...]:
+    """Product of two integer matrices given as tuples of rows."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
 @dataclass(frozen=True)
 class WeylElement:
     """A Weyl group element as an integer matrix on weight coordinates."""
@@ -133,11 +140,6 @@ class WeylElement:
         if len(mu) != self.rank:
             raise ValueError("rank mismatch between Weyl element and weight")
         return tuple(sum(row[j] * mu[j] for j in range(self.rank)) for row in self.matrix)
-
-
-def act(w: WeylElement, mu: Weight) -> Weight:
-    """Matrix-vector action of a Weyl element on a weight."""
-    return w.act(mu)
 
 
 @dataclass(frozen=True)
@@ -292,13 +294,9 @@ class RootSystem:
             alpha = self.simple_root(i)
             mu = tuple(x - mu[i] * a for x, a in zip(mu, alpha))
             word.append(i)
-        rebuilt = tuple(tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank))
+        rebuilt = self.identity_element().matrix
         for i in reversed(word):
-            s = self._simple_reflection_matrices[i]
-            rebuilt = tuple(
-                tuple(sum(s[r][k] * rebuilt[k][c] for k in range(self.rank)) for c in range(self.rank))
-                for r in range(self.rank)
-            )
+            rebuilt = _matmul(self._simple_reflection_matrices[i], rebuilt)
         if mu != self.rho or rebuilt != matrix:
             raise ValueError("matrix permutes the roots but does not lie in the Weyl group")
         return WeylElement(matrix=matrix, length=inv, sign=(-1) ** inv)
@@ -311,12 +309,7 @@ class RootSystem:
         return WeylElement(matrix=self._simple_reflection_matrices[i], length=1, sign=-1)
 
     def compose(self, w1: WeylElement, w2: WeylElement) -> WeylElement:
-        n = self.rank
-        prod = tuple(
-            tuple(sum(w1.matrix[i][k] * w2.matrix[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-        return self.element_from_matrix(prod)
+        return self.element_from_matrix(_matmul(w1.matrix, w2.matrix))
 
     def inverse(self, w: WeylElement) -> WeylElement:
         cached = self._inverse_cache.get(w.matrix)
@@ -401,11 +394,7 @@ def enumerate_weyl_group(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylSub
         new = []
         for w in frontier:
             for g in gens:
-                n = rs.rank
-                prod = tuple(
-                    tuple(sum(w.matrix[i][k] * g[k][j] for k in range(n)) for j in range(n))
-                    for i in range(n)
-                )
+                prod = _matmul(w.matrix, g)
                 if prod not in seen:
                     elem = WeylElement(matrix=prod, length=depth, sign=(-1) ** depth)
                     seen[prod] = elem
@@ -424,16 +413,16 @@ def subgroup_from_generators(rs: RootSystem, generators, cap: int = DEFAULT_WEYL
     gens = [rs.element_from_matrix(g.matrix if isinstance(g, WeylElement) else g) for g in generators]
     identity = rs.identity_element()
     seen = {identity.matrix: identity}
-    frontier = [identity]
+    frontier = [identity.matrix]
     while frontier:
         new = []
-        for w in frontier:
+        for m in frontier:
             for g in gens:
-                prod = rs.compose(w, g)
-                if prod.matrix not in seen:
+                prod = _matmul(m, g.matrix)
+                if prod not in seen:
                     if len(seen) >= cap:
                         raise CapExceededError(f"group too large: subgroup closure exceeds cap {cap}")
-                    seen[prod.matrix] = prod
+                    seen[prod] = rs.element_from_matrix(prod)
                     new.append(prod)
         frontier = new
     elements = sorted(seen.values(), key=lambda w: (w.length, w.matrix))
@@ -445,11 +434,11 @@ def trivial_subgroup(rs: RootSystem) -> WeylSubgroup:
 
 
 def rho_shift(w: WeylElement, rs: RootSystem) -> Weight:
-    """rho - w*rho, computed as the sum of R+ \\cap (-w R+), i.e. of the
+    """rho - w*rho, which is the sum of R+ \\cap (-w R+), i.e. of the
     positive roots sent negative by w^{-1}. Always in the root lattice."""
-    winv = rs.inverse(w)
-    total = [0] * rs.rank
-    for alpha in rs.positive_roots:
-        if winv.act(alpha) not in rs._positive_set:
-            total = [x + y for x, y in zip(total, alpha)]
-    return tuple(total)
+    return tuple(r - x for r, x in zip(rs.rho, w.act(rs.rho)))
+
+
+def dominant_box(rank: int, bound: int) -> list[Weight]:
+    """All dominant weights with every coordinate at most bound, sorted."""
+    return list(product(range(bound + 1), repeat=rank))

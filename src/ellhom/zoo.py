@@ -19,7 +19,7 @@ from .pairings import (
     split_rank_one_context,
     unequal_rank_context,
 )
-from .rootsystem import RootSystem, Weight, build_root_system, rho_shift
+from .rootsystem import RootSystem, Weight, build_root_system, dominant_box, rho_shift
 
 PROVENANCES = (
     "compact_irreducible",
@@ -276,7 +276,7 @@ class Catalog:
 def compact_catalog(rs: RootSystem, bound: int) -> Catalog:
     """All compact irreducibles with coordinates up to the bound."""
     ctx = compact_context(rs)
-    lams = _dominant_box(rs.rank, bound)
+    lams = dominant_box(rs.rank, bound)
     return Catalog(
         context=ctx, modules=tuple(compact_irreducible(lam, ctx) for lam in lams)
     )
@@ -290,10 +290,3 @@ def sl2_catalog(weight_bound: int = 3) -> Catalog:
 def unequal_rank_catalog(rs: RootSystem | None = None, count: int = 3) -> Catalog:
     modules = tuple(unequal_rank_stub(f"stub-{i}", rs) for i in range(count))
     return Catalog(context=modules[0].ctx, modules=modules)
-
-
-def _dominant_box(rank: int, bound: int) -> list[Weight]:
-    lams = [()]
-    for _ in range(rank):
-        lams = [lam + (c,) for lam in lams for c in range(bound + 1)]
-    return sorted(lams)

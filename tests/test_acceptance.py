@@ -1,266 +1,94 @@
-"""Acceptance gate: every criterion is exact integer/rational equality at
-desk scale, with zero tolerance. One printed pass/fail line per criterion.
-
-Runtime expectations (not asserted): 1 < 60s, 2/3/5 < 120s, 4/7 < 10s,
-6/8 < 1s, 10 < 30s, 9 embedded in 1/2/7.
+"""Acceptance gate: each criterion runs suites of ``ellhom.verify`` with the
+default config of ``ellhom verify`` and requires every case to pass. All
+comparisons are exact equalities. One printed pass/fail line per criterion.
 """
 
-import random
+import argparse
+import hashlib
 import time
-from fractions import Fraction
-from math import comb
 
 import pytest
 
-from ellhom import (
-    CharElement,
-    GeometricDatum,
-    antisym_transport,
-    check_antisym_i,
-    compact_context,
-    dual_class,
-    dual_standard_class,
-    elliptic_pairing,
-    enumerate_weyl_group,
-    euler_class,
-    euler_class_closed_form,
-    ext_abelian_graded,
-    freudenthal_character,
-    half_denominator,
-    homological_pairing,
-    koszul_n_homology,
-    kostant_homology,
-    multiplicity_pairing,
-    parse_type,
-    sl2_presets,
-    standard_module_class,
-    torus_integral,
-    unequal_rank_stub,
-    weyl_character,
-    weyl_denominator_full,
-)
-from ellhom.rootsystem import classical_weyl_order
+from ellhom import verify
+from ellhom.cli import _emit
 
-SEED = 20260808
-SCHUR_TYPES = ("A1", "A2", "B2", "G2")
-RANK_LE_2 = ("A1", "A2", "B2", "C2", "G2")
-RANK_LE_3 = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2")
-
-_integrality_ok = {"schur": True, "fuzz": True, "standard": True}
+# sha256 of the `ellhom verify --emit json` output for the default config
+VERIFY_JSON_SHA256 = "923f5beae42664e8d47183487f96182501fb2e65f95b5a06b41249287088aa5c"
 
 
-def _report(number, name, ok, started):
+@pytest.fixture(scope="module")
+def suite_report():
+    """Run each suite at most once per session, on the default config."""
+    cfg = verify.default_config()
+    reports = {}
+
+    def report(name):
+        if name not in reports:
+            reports[name] = verify.run_suite(name, cfg)
+        return reports[name]
+
+    return report
+
+
+def _accept(number, title, suite_report, suites, keep=lambda case: True):
+    started = time.monotonic()
+    cases = [c for name in suites for c in suite_report(name)["cases"] if keep(c)]
+    ok = bool(cases) and all(c["pass"] for c in cases)
     elapsed = time.monotonic() - started
-    print(f"ACCEPTANCE {number} ({name}): {'PASS' if ok else 'FAIL'} [{elapsed:.1f}s]")
-    assert ok, f"acceptance criterion {number} ({name}) failed"
+    print(f"ACCEPTANCE {number} ({title}): {'PASS' if ok else 'FAIL'} [{elapsed:.1f}s]")
+    failed = [f"{c['name']}: {c['actual']}" for c in cases if not c["pass"]]
+    assert ok, f"acceptance criterion {number} ({title}) failed: {failed}"
 
 
-def _dominant_box(rank, bound):
-    lams = [()]
-    for _ in range(rank):
-        lams = [l + (c,) for l in lams for c in range(bound + 1)]
-    return sorted(lams)
+def test_criterion_1_compact_schur_suite(suite_report):
+    _accept(1, "compact Schur suite", suite_report, ["schur"])
 
 
-def test_criterion_1_compact_schur_suite():
-    started = time.monotonic()
-    ok = True
-    for token in SCHUR_TYPES:
-        rs = parse_type(token)
-        ctx = compact_context(rs)
-        lams = _dominant_box(rs.rank, 3)
-        chars = {lam: weyl_character(lam, rs) for lam in lams}
-        dprod = {lam: weyl_denominator_full(rs) * chars[lam] for lam in lams}
-        homs = {lam: kostant_homology(lam, rs) for lam in lams}
-        eulers = {lam: euler_class(homs[lam]) for lam in lams}
-        for lam in lams:
-            for mu in lams:
-                delta = Fraction(1 if lam == mu else 0)
-                m = Fraction(
-                    torus_integral(dprod[lam] * chars[mu].conjugate()), rs.weyl_order
-                )
-                e = elliptic_pairing(eulers[lam], eulers[mu], ctx)
-                h = homological_pairing(homs[lam], homs[mu], ctx)
-                ok = ok and m == e == h == delta
-                if e.denominator != 1:
-                    _integrality_ok["schur"] = False
-    _report(1, "compact Schur suite", ok, started)
+def test_criterion_2_main_theorem_fuzz(suite_report):
+    _accept(2, "main theorem fuzz, elliptic = homological", suite_report, ["kazhdan"])
 
 
-def test_criterion_2_main_theorem_fuzz():
-    started = time.monotonic()
-    ok = True
-    for token in RANK_LE_3:
-        rs = parse_type(token)
-        ctx = compact_context(rs)
-        bound = 2 if rs.rank <= 2 else 1
-        basis = []
-        for lam in _dominant_box(rs.rank, bound):
-            h = kostant_homology(lam, rs)
-            basis.append((h, euler_class(h)))
-        rng = random.Random(SEED)
-        for _ in range(1000):
-            sides = []
-            for _ in range(2):
-                coeffs = [rng.randint(-3, 3) for _ in basis]
-                xi = CharElement.zero(rs.rank)
-                gh = basis[0][0].scale(0)
-                for c, (h, e) in zip(coeffs, basis):
-                    if c:
-                        xi = xi + e * c
-                        gh = gh + h.scale(c)
-                sides.append((gh, xi))
-            ell = elliptic_pairing(sides[0][1], sides[1][1], ctx)
-            hom = homological_pairing(sides[0][0], sides[1][0], ctx)
-            ok = ok and ell == hom
-            if ell.denominator != 1:
-                _integrality_ok["fuzz"] = False
-    _report(2, "main theorem fuzz, elliptic = homological", ok, started)
+def test_criterion_3_osborne_compact_identity(suite_report):
+    _accept(3, "Osborne compact identity, three-way", suite_report, ["osborne"])
 
 
-def test_criterion_3_osborne_compact_identity():
-    started = time.monotonic()
-    ok = True
-    for token in RANK_LE_2:
-        rs = parse_type(token)
-        half = half_denominator(rs)
-        for lam in _dominant_box(rs.rank, 2):
-            koszul = euler_class(koszul_n_homology(lam, rs.positive_roots, rs))
-            product = half * weyl_character(lam, rs)
-            closed = euler_class_closed_form(lam, rs)
-            ok = ok and koszul == product == closed
-    _report(3, "Osborne compact identity, three-way", ok, started)
+def test_criterion_4_denominator_symmetry(suite_report):
+    _accept(4, "Weyl denominator symmetry", suite_report, ["weyldenom"])
 
 
-def test_criterion_4_denominator_symmetry():
-    started = time.monotonic()
-    ok = True
-    from ellhom import check_denominator_symmetry
-
-    for token in RANK_LE_3:
-        rs = parse_type(token)
-        for w in enumerate_weyl_group(rs):
-            ok = ok and check_denominator_symmetry(w, rs)
-    _report(4, "Weyl denominator symmetry", ok, started)
+def test_criterion_5_antisymmetry(suite_report):
+    _accept(5, "Euler-class antisymmetry and transport", suite_report, ["antisym"])
 
 
-def test_criterion_5_antisymmetry():
-    started = time.monotonic()
-    ok = True
-    for token in RANK_LE_2:
-        rs = parse_type(token)
-        ctx = compact_context(rs)
-        group = rs.weyl_group()
-        for lam in _dominant_box(rs.rank, 2):
-            xi = euler_class_closed_form(lam, rs)
-            for w in group:
-                ok = ok and check_antisym_i(xi, w, ctx)
-        family = sorted(
-            {tuple([0] * rs.rank), rs.rho}
-            | {tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)}
-        )
-        for lam in family:
-            xi = euler_class(koszul_n_homology(lam, rs.positive_roots, rs))
-            for w in group:
-                nw = tuple(sorted(w.act(a) for a in rs.positive_roots))
-                direct = euler_class(koszul_n_homology(lam, nw, rs))
-                ok = ok and direct == antisym_transport(xi, w, ctx)
-    _report(5, "Euler-class antisymmetry and transport", ok, started)
+def test_criterion_6_abelian_ext(suite_report):
+    _accept(6, "abelian Ext vanishing and binomial dims", suite_report, ["abelian"])
 
 
-def test_criterion_6_abelian_ext():
-    started = time.monotonic()
-    ok = True
-    for d in range(1, 7):
-        dims0 = ext_abelian_graded([0] * d, d)
-        ok = ok and dims0 == [comb(d, p) for p in range(d + 1)]
-        ok = ok and sum((-1) ** p * v for p, v in enumerate(dims0)) == 0
-        dims1 = ext_abelian_graded([1] + [0] * (d - 1), d)
-        ok = ok and dims1 == [0] * (d + 1)
-        ok = ok and sum((-1) ** p * v for p, v in enumerate(dims1)) == 0
-    _report(6, "abelian Ext vanishing and binomial dims", ok, started)
+def test_criterion_7_standard_module_suite(suite_report):
+    _accept(7, "standard modules: orthogonality, vanishing, duals", suite_report, ["standard"])
 
 
-def test_criterion_7_standard_module_suite():
-    started = time.monotonic()
-    ok = True
-    mods = sl2_presets(3)
-    ctx = mods[0].ctx
-    closed = [m for m in mods if m.provenance == "standard_closed"]
-    for a in closed:
-        for b in closed:
-            v = elliptic_pairing(a.euler, b.euler, ctx)
-            ok = ok and v == (1 if a.label == b.label else 0)
-            if v.denominator != 1:
-                _integrality_ok["standard"] = False
-    openm = [m for m in mods if m.provenance == "standard_open"]
-    for m in mods:
-        for o in openm:
-            ok = ok and elliptic_pairing(o.euler, m.euler, ctx) == 0
-            ok = ok and homological_pairing(o.graded(), m.graded(), ctx) == 0
-    rng = random.Random(SEED)
-    count = 0
-    for token in ("A1", "B2"):
-        rs = parse_type(token)
-        cctx = compact_context(rs)
-        for _ in range(25):
-            v = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
-            datum = GeometricDatum(closed=True, v_weight=v, s=rng.randint(0, 3), ctx=cctx)
-            direct = dual_standard_class(datum).euler
-            composed = dual_class(standard_module_class(datum).euler, cctx)
-            ok = ok and direct == composed
-            count += 1
-    ok = ok and count == 50
-    _report(7, "standard modules: orthogonality, vanishing, duals", ok, started)
+def test_criterion_8_unequal_rank_contract(suite_report):
+    _accept(8, "unequal-rank zero pairing", suite_report, ["unequalrank"])
 
 
-def test_criterion_8_unequal_rank_contract():
-    started = time.monotonic()
-    ok = True
-    stubs = [unequal_rank_stub(f"stub-{i}") for i in range(3)]
-    for a in stubs:
-        for b in stubs:
-            ok = ok and elliptic_pairing(a.euler, b.euler, a.ctx) == 0
-            ok = ok and homological_pairing(a.graded(), b.graded(), a.ctx) == 0
-    for d in range(1, 7):
-        for nu in ([0] * d, [2] + [0] * (d - 1)):
-            dims = ext_abelian_graded(nu, d)
-            ok = ok and sum((-1) ** p * v for p, v in enumerate(dims)) == 0
-    _report(8, "unequal-rank zero pairing", ok, started)
+def test_criterion_9_integrality(suite_report):
+    _accept(
+        9,
+        "integrality of pairing values",
+        suite_report,
+        ["schur", "kazhdan", "standard"],
+        keep=lambda case: "integrality" in case["name"],
+    )
 
 
-def test_criterion_9_integrality():
-    # flags gathered while running criteria 1, 2, and 7, plus a direct sweep
-    started = time.monotonic()
-    ok = all(_integrality_ok.values())
-    rng = random.Random(SEED)
-    for token in ("A2", "B2"):
-        rs = parse_type(token)
-        ctx = compact_context(rs)
-        basis = [euler_class(kostant_homology(lam, rs)) for lam in _dominant_box(rs.rank, 2)]
-        for _ in range(100):
-            xi1 = CharElement.zero(rs.rank)
-            xi2 = CharElement.zero(rs.rank)
-            for b in basis:
-                xi1 = xi1 + b * rng.randint(-3, 3)
-                xi2 = xi2 + b * rng.randint(-3, 3)
-            v = elliptic_pairing(xi1, xi2, ctx)
-            ok = ok and (v * ctx.w0_order).denominator == 1
-            ok = ok and v.denominator == 1  # genuine-class combinations stay integral
-    _report(9, "integrality of pairing values", ok, started)
+def test_criterion_10_oracle_cross_checks(suite_report):
+    _accept(10, "oracle cross-checks", suite_report, ["oracles"])
 
 
-def test_criterion_10_oracle_cross_checks():
-    started = time.monotonic()
-    ok = True
-    for token in SCHUR_TYPES:
-        rs = parse_type(token)
-        for lam in _dominant_box(rs.rank, 3):
-            ok = ok and freudenthal_character(lam, rs) == weyl_character(lam, rs)
-    for token in RANK_LE_3 + ("F4",):
-        rs = parse_type(token)
-        ok = ok and enumerate_weyl_group(rs).order == classical_weyl_order(rs.series, rs.rank)
-    for token in RANK_LE_3:
-        rs = parse_type(token)
-        ok = ok and torus_integral(weyl_denominator_full(rs)) == rs.weyl_order
-    _report(10, "oracle cross-checks", ok, started)
+def test_verify_json_bytes_are_pinned(suite_report, tmp_path):
+    cfg = verify.default_config()
+    result = verify.summarize(cfg, [suite_report(name) for name in cfg["suites"]])
+    out = tmp_path / "verify.json"
+    _emit(result, argparse.Namespace(emit="json", out=str(out)))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_JSON_SHA256

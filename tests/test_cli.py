@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from ellhom import InternalConsistencyError, verify
 from ellhom.cli import main
 
 
@@ -182,16 +183,32 @@ def test_verify_cap_exceeded_is_reported_not_silent(capsys):
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
-    from ellhom import cli as climod
-
     def failing_suite(cfg):
         return [{"name": "forced", "inputs": "", "expected": "0", "actual": "1", "pass": False}]
 
-    monkeypatch.setitem(climod.SUITE_RUNNERS, "abelian", failing_suite)
+    monkeypatch.setitem(verify.SUITE_RUNNERS, "abelian", failing_suite)
     rc = main(["verify", "--suite", "abelian"])
     out = json.loads(capsys.readouterr().out)
     assert rc == 1
     assert out["summary"]["failed"] == 1
+
+
+def test_verify_internal_error_is_a_failed_case(monkeypatch, capsys):
+    # a bug inside one suite fails that suite; the others still report
+    def broken_suite(cfg):
+        raise InternalConsistencyError("planted")
+
+    monkeypatch.setitem(verify.SUITE_RUNNERS, "abelian", broken_suite)
+    rc = main(["verify", "--suite", "abelian,unequalrank"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    broken, other = out["reports"]
+    assert broken["cases"] == [
+        {"name": "abelian", "inputs": "", "expected": "completed",
+         "actual": "internal error: planted", "pass": False}
+    ]
+    assert other["suite"] == "unequalrank"
+    assert other["summary"]["total"] > 0 and other["summary"]["failed"] == 0
 
 
 def test_verify_reports_are_byte_identical(tmp_path):
