@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .charring import CharElement, divide_exact
+from .charring import CharElement, divide_exact, half_denominator
 from .rootsystem import RootSystem, Weight
 
 
@@ -131,11 +131,8 @@ def weyl_character(lam: Weight, rs: RootSystem) -> CharElement:
         mu = tuple(x - r for x, r in zip(w.act(lam_rho), rho))
         numerator_terms[mu] = numerator_terms.get(mu, 0) + w.sign
     numerator = CharElement(rs.rank, numerator_terms)
-    denominator = CharElement.one(rs.rank)
-    for alpha in rs.positive_roots:
-        denominator = denominator - denominator.shift(tuple(-a for a in alpha))
     try:
-        return divide_exact(numerator, denominator, rs)
+        return divide_exact(numerator, half_denominator(rs).conjugate(), rs)
     except ValueError as exc:
         raise InternalConsistencyError(
             f"Weyl numerator for {lam} is not divisible by the denominator"

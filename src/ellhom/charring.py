@@ -8,7 +8,8 @@ torus integral below is a constant-term extraction.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import heapq
+from operator import add, le, mul, neg, sub
 
 from .rootsystem import RootSystem, Weight, WeylElement
 
@@ -86,7 +87,7 @@ class CharElement:
             small, large = large, small
         for mu, c in small.items():
             for nu, d in large.items():
-                key = tuple(x + y for x, y in zip(mu, nu))
+                key = tuple(map(add, mu, nu))
                 v = out.get(key, 0) + c * d
                 if v:
                     out[key] = v
@@ -100,18 +101,18 @@ class CharElement:
 
     def shift(self, mu: Weight, coeff: int = 1) -> "CharElement":
         """Multiplication by coeff * e^mu."""
+        if coeff == 0:
+            return CharElement.zero(self.rank)
         res = CharElement.__new__(CharElement)
         res.rank = self.rank
-        res.terms = {
-            tuple(x + y for x, y in zip(nu, mu)): c * coeff for nu, c in self.terms.items()
-        }
+        res.terms = {tuple(map(add, nu, mu)): c * coeff for nu, c in self.terms.items()}
         return res
 
     def conjugate(self) -> "CharElement":
         """Complex conjugation on the compact torus: e^mu -> e^-mu."""
         res = CharElement.__new__(CharElement)
         res.rank = self.rank
-        res.terms = {tuple(-x for x in mu): c for mu, c in self.terms.items()}
+        res.terms = {tuple(map(neg, mu)): c for mu, c in self.terms.items()}
         return res
 
     # -- queries ---------------------------------------------------------------
@@ -206,46 +207,76 @@ def half_denominator(rs: RootSystem) -> CharElement:
 
 
 def divide_exact(p: CharElement, q: CharElement, rs: RootSystem) -> CharElement:
-    """Exact division in the character ring, or ValueError if not exact.
+    """Exact division p / q in the character ring, or ValueError if q does
+    not divide p.
 
-    Term order: height functional first (any rational functional positive on
-    the positive roots works; we use the sum of simple-root coordinates),
-    lexicographic tie-break. Exactness is certified by the remainder
-    reaching zero with every quotient term inside the feasible height range.
+    Term order: height first (the sum of simple-root coordinates, positive
+    on the positive roots, taken as the integer dot product with
+    ``rs.height_vector``), then lexicographic order of the weight. Each
+    step divides the leading remainder term by the leading term of q and
+    subtracts that multiple of q. The order is compatible with addition, so
+    every term a step adds to the remainder lies below the term it removes.
+
+    The remainder's leading term comes from a heap of ``(-height, -weight)``
+    keys (Monagan and Pearce, CASC 2007) instead of a scan of the whole
+    remainder. A weight is pushed when it enters the remainder; a popped
+    weight that has since cancelled is skipped, and by the remark above it
+    never returns.
+
+    Termination certificate: if p = q x then Newt(p) = Newt(q) + Newt(x)
+    (Ostrowski), so every term of x lies in the box
+    min_j(p) - min_j(q) <= x_j <= max_j(p) - max_j(q) and has height at
+    least min h(p) - min h(q). A quotient term outside these bounds, or a
+    leading coefficient that q's leading coefficient does not divide,
+    raises ValueError. Quotient terms strictly decrease in the term order
+    and the box is finite, so the loop ends on every input.
     """
+    if not p.rank == q.rank == rs.rank:
+        raise ValueError(
+            f"rank mismatch in division: {p.rank}, {q.rank} and root system {rs.rank}"
+        )
     if q.is_zero():
         raise ZeroDivisionError("division by the zero character")
-    hcache: dict[Weight, Fraction] = {}
-
-    def h(mu: Weight) -> Fraction:
-        v = hcache.get(mu)
-        if v is None:
-            v = rs.height(mu)
-            hcache[mu] = v
-        return v
-
-    def lead(terms: dict) -> Weight:
-        return max(terms, key=lambda mu: (h(mu), mu))
-
-    qlead = lead(q.terms)
-    qlc = q.terms[qlead]
     if p.is_zero():
         return CharElement.zero(p.rank)
-    floor = min(h(mu) for mu in p.terms) - min(h(mu) for mu in q.terms)
+    hvec = rs.height_vector
+
+    def key(mu: Weight) -> tuple:
+        # heap entry whose minimum is the leading term
+        return (-sum(map(mul, hvec, mu)), tuple(map(neg, mu)), mu)
+
+    qkeys = sorted(map(key, q.terms))
+    neg_hq, _, qlead = qkeys[0]
+    qlc = q.terms[qlead]
+    qterms = [(nu, q.terms[nu], neg_h) for neg_h, _, nu in qkeys]
+    heap = sorted(map(key, p.terms))  # a sorted list is a heap
+    # every quotient height is at least min h(p) - min h(q)
+    neg_h_max = heap[-1][0] - qkeys[-1][0]
+    pcols, qcols = tuple(zip(*p.terms)), tuple(zip(*q.terms))
+    lo = tuple(min(a) - min(b) for a, b in zip(pcols, qcols))
+    hi = tuple(max(a) - max(b) for a, b in zip(pcols, qcols))
     rem = dict(p.terms)
     quot: dict[Weight, int] = {}
     while rem:
-        t = lead(rem)
-        c, r = divmod(rem[t], qlc)
-        mono = tuple(x - y for x, y in zip(t, qlead))
-        if r != 0 or h(mono) < floor:
+        neg_ht, _, t = heapq.heappop(heap)
+        ct = rem.get(t)
+        if ct is None:
+            continue
+        c, r = divmod(ct, qlc)
+        mono = tuple(map(sub, t, qlead))
+        neg_hm = neg_ht - neg_hq
+        in_box = all(map(le, lo, mono)) and all(map(le, mono, hi))
+        if r or neg_hm > neg_h_max or not in_box:
             raise ValueError("division is not exact in the character ring")
         quot[mono] = c
-        for nu, d in q.terms.items():
-            key = tuple(x + y for x, y in zip(mono, nu))
-            v = rem.get(key, 0) - c * d
-            if v:
-                rem[key] = v
+        for nu, d, neg_hnu in qterms:
+            k = tuple(map(add, mono, nu))
+            v = rem.get(k)
+            if v is None:
+                rem[k] = -c * d
+                heapq.heappush(heap, (neg_hm + neg_hnu, tuple(map(neg, k)), k))
+            elif v == c * d:
+                del rem[k]
             else:
-                rem.pop(key, None)
+                rem[k] = v - c * d
     return CharElement(p.rank, quot)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 
 from .linalg import fraction_inverse, int_matrix_inverse
 
@@ -170,6 +171,13 @@ class RootSystem:
         self.cartan_inv = tuple(
             tuple(row) for row in fraction_inverse(self.cartan)
         )
+        # height(mu) = (height_vector . mu) / height_scale, where entry j of
+        # height_vector is the j-th column sum of cartan_inv times the scale
+        colsums = [sum(col, Fraction(0)) for col in zip(*self.cartan_inv)]
+        self.height_scale = lcm(*(x.denominator for x in colsums))
+        self.height_vector: Weight = tuple(
+            int(x * self.height_scale) for x in colsums
+        )
         self._simple_reflection_matrices = tuple(
             self._reflection_matrix(i) for i in range(rank)
         )
@@ -243,7 +251,10 @@ class RootSystem:
         )
 
     def height(self, mu: Weight) -> Fraction:
-        return sum(self.root_coords(mu), Fraction(0))
+        """Sum of the simple-root coordinates of mu."""
+        if len(mu) != self.rank:
+            raise ValueError(f"weight {mu} does not have rank {self.rank}")
+        return Fraction(sum(map(mul, self.height_vector, mu)), self.height_scale)
 
     def in_positive_root_lattice(self, mu: Weight) -> bool:
         coords = self.root_coords(mu)

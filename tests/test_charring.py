@@ -63,6 +63,13 @@ def test_rank_mismatch_rejected():
         CharElement(2, {(1,): 1})
 
 
+def test_shift_by_zero_coefficient_is_zero():
+    x = CharElement.monomial((1, 0)).shift((0, 1), 0)
+    assert x.terms == {}
+    assert x.is_zero()
+    assert x == CharElement.zero(2)
+
+
 def test_conjugation_examples(a1):
     assert CharElement.one(1).conjugate() == CharElement.one(1)
     x = CharElement(2, {(1, 0): 2, (0, 1): -1})
@@ -201,4 +208,34 @@ def test_exact_division_round_trips(x):
 
     rs = build_root_system("A", 2)
     for q in (half_denominator(rs), half_denominator(rs).conjugate()):
+        assert divide_exact(q * x, q, rs) == x
+
+
+def test_non_exact_division_with_tied_leading_height_raises(a2):
+    # (1,-1) and (0,0) both have height 0; the Newton box of the quotient is empty
+    q = CharElement(2, {(0, 0): 1, (1, -1): -1})
+    with pytest.raises(ValueError, match="not exact"):
+        divide_exact(CharElement.one(2), q, a2)
+
+
+def test_division_rank_mismatch_raises(a2):
+    with pytest.raises(ValueError, match="rank mismatch"):
+        divide_exact(CharElement.monomial((1, 0, 5)), CharElement.monomial((1, 0)), a2)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        divide_exact(CharElement.monomial((1,)), CharElement.monomial((1,)), a2)
+
+
+@pytest.mark.parametrize("token", ["B2", "G2", "B3"])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_division_by_non_monic_divisors_round_trips(token, data):
+    from ellhom import parse_type
+
+    rs = parse_type(token)
+    x = data.draw(char_elements(rs.rank))
+    half = half_denominator(rs)
+    theta = rs.positive_roots[-1]
+    one_plus = CharElement.one(rs.rank) + CharElement.monomial(theta)
+    one_plus_two = CharElement.one(rs.rank) + CharElement.monomial(theta, 2)
+    for q in (2 * half, half * one_plus, half.conjugate() * one_plus_two):
         assert divide_exact(q * x, q, rs) == x

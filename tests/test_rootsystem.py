@@ -137,6 +137,26 @@ def test_root_system_invariants(a2, b2, g2):
             assert all(x.denominator == 1 and x >= 0 for x in coords)
 
 
+RANK_AT_MOST_4 = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4), ("F", 4), ("G", 2),
+]
+
+
+@pytest.mark.parametrize("series,rank", RANK_AT_MOST_4)
+def test_integer_height_functional(series, rank):
+    rs = build_root_system(series, rank)
+    assert all(isinstance(x, int) for x in rs.height_vector)
+    for mu in rs.full_roots:
+        dot = sum(h * x for h, x in zip(rs.height_vector, mu))
+        assert dot == rs.height_scale * sum(rs.root_coords(mu))
+        assert rs.height(mu) == sum(rs.root_coords(mu))
+    for i in range(rank):
+        assert rs.height(rs.simple_root(i)) == 1
+    with pytest.raises(ValueError, match="rank"):
+        rs.height((1,) * (rank + 1))
+
+
 def test_json_dump_matches_interface(a2):
     assert a2.to_dict() == {
         "series": "A",
