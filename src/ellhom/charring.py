@@ -9,6 +9,7 @@ torus integral below is a constant-term extraction.
 from __future__ import annotations
 
 import heapq
+from numbers import Rational
 from operator import add, le, mul, neg, sub
 
 from .rootsystem import RootSystem, Weight, WeylElement
@@ -26,6 +27,10 @@ class CharElement:
             for mu, c in terms.items():
                 if len(mu) != rank:
                     raise ValueError(f"weight {mu} does not have rank {rank}")
+                if type(c) is not int:
+                    if not isinstance(c, Rational) or c.denominator != 1:
+                        raise ValueError(f"coefficient {c!r} at {mu} is not an integer")
+                    c = int(c)
                 if c:
                     clean[tuple(mu)] = c
         self.terms = clean

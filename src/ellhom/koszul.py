@@ -9,6 +9,14 @@ standard homology boundary
 splits it by torus weight, and computes exact integer ranks per weight per
 degree. It is the ground-truth oracle: it uses only the module matrices and
 structure constants from hwmodule, never a character-level closed form.
+
+The operator matrices and bracket constants are rational. Each call takes
+one common denominator D (the lcm of all their denominators) and assembles
+D*d, which is integral; a nonzero scalar multiple of a map has the same
+rank in every block, so the homology is unchanged and no Fraction enters
+the assembly loop. Everything that depends only on a wedge subset (its
+weight, the subsets one degree down that its terms land on, and the signs)
+is computed once per subset, not once per basis vector.
 """
 
 from __future__ import annotations
@@ -25,6 +33,8 @@ from .linalg import sparse_int_rank
 from .rootsystem import CapExceededError, RootSystem, Weight
 
 DEFAULT_DIM_CAP = 2000
+# bound on dim V * 2^|R+|, the dimension of the whole chain complex
+COMPLEX_DIM_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -111,77 +121,117 @@ def koszul_n_homology(
         raise CapExceededError(
             f"module too large: dim V{lam} = {dim} exceeds cap {cap_dim}"
         )
+    n_roots = len(ps)
+    if dim << n_roots > COMPLEX_DIM_CAP:
+        raise CapExceededError(
+            f"chain complex too large: dim V{lam} * 2^{n_roots} = {dim << n_roots} "
+            f"exceeds cap {COMPLEX_DIM_CAP}"
+        )
     mod = module_for(rs, lam)
     if mod.dimension != dim:
         raise AssertionError(
             f"module construction produced dimension {mod.dimension}, expected {dim}"
         )
     brackets = structure_constants(rs)
-    n_roots = len(ps)
     ops = [mod.operator(alpha) for alpha in ps]
     index_of = {alpha: a for a, alpha in enumerate(ps)}
     weights = sorted(mod.mults)
+    mults = mod.mults
+    offset: dict[Weight, int] = {}
+    start = 0
+    for w in weights:
+        offset[w] = start
+        start += mults[w]
+
+    # one common denominator for every coefficient of d; scaling d by a
+    # nonzero constant changes no rank, so the scaled map is integral
+    bracket_of: dict[tuple[int, int], tuple[int, Fraction]] = {}
+    for a in range(n_roots):
+        for b in range(a + 1, n_roots):
+            m_idx = index_of.get(tuple(x + y for x, y in zip(ps[a], ps[b])))
+            if m_idx is not None:
+                bracket_of[(a, b)] = (m_idx, brackets[(ps[a], ps[b])])
+    denom = lcm(
+        *(cf.denominator for op in ops for block in op.values() for vec in block for cf in vec),
+        *(c.denominator for _, c in bracket_of.values()),
+    )
+    # int_ops[a][w][k]: the image of basis vector k at w under x_a, scaled
+    # by denom, as (offsets in V, entries, negated entries)
+    int_ops = []
+    for alpha, op in zip(ps, ops):
+        int_op = {}
+        for w, block in op.items():
+            base = offset[tuple(x + y for x, y in zip(w, alpha))]
+            int_rows = []
+            for vec in block:
+                offs = tuple(base + m for m, cf in enumerate(vec) if cf)
+                vals = tuple(int(cf * denom) for cf in vec if cf)
+                int_rows.append((offs, vals, tuple(-v for v in vals)))
+            int_op[w] = int_rows
+        int_ops.append(int_op)
 
     dims: dict[tuple[int, Weight], int] = {}
     ranks: dict[tuple[int, Weight], int] = {}
     homology: list[dict[Weight, int]] = [dict() for _ in range(n_roots + 1)]
 
+    lower_index: dict[tuple[int, ...], int] = {}
     for p in range(n_roots + 1):
-        # columns of the boundary map out of degree p, grouped by total weight
-        blocks: dict[Weight, list[dict]] = {}
-        for subset in combinations(range(n_roots), p):
+        subsets = list(combinations(range(n_roots), p))
+        # columns of the boundary map out of degree p, grouped by total weight;
+        # a basis vector (S, mu, m) of degree p - 1 is the integer
+        # index(S) * dim + offset(mu) + m
+        blocks: dict[Weight, list[dict[int, int]]] = {}
+        for subset in subsets:
             sub_weight = [0] * rs.rank
             for a in subset:
                 sub_weight = [x + y for x, y in zip(sub_weight, ps[a])]
+            # x_a v terms: (operator of x_a, start of the omitted subset, odd sign)
+            op_terms = [
+                (int_ops[a], lower_index[subset[:pos] + subset[pos + 1:]] * dim, pos % 2)
+                for pos, a in enumerate(subset)
+            ]
+            # bracket terms: (start of the target subset, scaled coefficient)
+            br_terms = []
+            for pa in range(p):
+                for pb in range(pa + 1, p):
+                    a, b = subset[pa], subset[pb]
+                    found = bracket_of.get((a, b))
+                    if found is None:
+                        continue
+                    m_idx, c = found
+                    rest = tuple(x for x in subset if x != a and x != b)
+                    if m_idx in rest:
+                        continue
+                    ins = sum(1 for x in rest if x < m_idx)
+                    sgn = -1 if (pa + pb + ins) % 2 == 0 else 1
+                    target = tuple(sorted(rest + (m_idx,)))
+                    br_terms.append((lower_index[target] * dim, int(sgn * c * denom)))
+            # distinct terms of one column land on distinct basis vectors:
+            # the omitted root, or the pair {a, b} and the root a + b, is
+            # recovered from the target subset, so no entry ever cancels
             for w in weights:
                 total = tuple(x + y for x, y in zip(sub_weight, w))
-                for k in range(mod.mults[w]):
-                    col: dict[tuple, Fraction] = {}
-                    for pos, a in enumerate(subset):
-                        block = ops[a].get(w)
-                        if block is None:
-                            continue
-                        vec = block[k]
-                        tw = tuple(x + y for x, y in zip(w, ps[a]))
-                        omit = subset[:pos] + subset[pos + 1:]
-                        sgn = -1 if pos % 2 else 1
-                        for m, cf in enumerate(vec):
-                            if cf:
-                                col[(omit, tw, m)] = col.get((omit, tw, m), Fraction(0)) + sgn * cf
-                    for pa in range(p):
-                        for pb in range(pa + 1, p):
-                            a, b = subset[pa], subset[pb]
-                            root_sum = tuple(x + y for x, y in zip(ps[a], ps[b]))
-                            m_idx = index_of.get(root_sum)
-                            if m_idx is None:
-                                continue
-                            rest = tuple(x for x in subset if x != a and x != b)
-                            if m_idx in rest:
-                                continue
-                            c = brackets[(ps[a], ps[b])]
-                            ins = sum(1 for x in rest if x < m_idx)
-                            sgn = (-1) ** (pa + pb + ins + 1)
-                            new_sub = tuple(sorted(rest + (m_idx,)))
-                            key = (new_sub, w, k)
-                            v = col.get(key, Fraction(0)) + sgn * c
-                            if v:
-                                col[key] = v
-                            else:
-                                col.pop(key, None)
-                    dims[(p, total)] = dims.get((p, total), 0) + 1
+                mw = mults[w]
+                dims[(p, total)] = dims.get((p, total), 0) + mw
+                cols = blocks.setdefault(total, [])
+                acting = [
+                    (int_op[w], base, odd) for int_op, base, odd in op_terms if w in int_op
+                ]
+                for k in range(mw):
+                    col: dict[int, int] = {}
+                    for images, base, odd in acting:
+                        offs, vals, negs = images[k]
+                        col.update(zip([base + o for o in offs], negs if odd else vals))
+                    here = offset[w] + k
+                    for base, v in br_terms:
+                        col[base + here] = v
                     if col:
-                        blocks.setdefault(total, []).append(col)
+                        cols.append(col)
+        lower_index = {subset: i for i, subset in enumerate(subsets)}
         for total, cols in blocks.items():
-            int_rows = []
-            for col in cols:
-                scale = lcm(*(v.denominator for v in col.values()))
-                int_rows.append({key: int(v * scale) for key, v in col.items()})
             # the rank of the transpose equals the rank; columns become rows
-            keymap: dict[tuple, int] = {}
-            rows = []
-            for col in int_rows:
-                rows.append({keymap.setdefault(key, len(keymap)): v for key, v in col.items()})
-            ranks[(p, total)] = sparse_int_rank(rows)
+            if cols:
+                ranks[(p, total)] = sparse_int_rank(cols)
 
     for (p, total), d in dims.items():
         h = d - ranks.get((p, total), 0) - ranks.get((p + 1, total), 0)

@@ -13,45 +13,63 @@ from math import gcd
 def sparse_int_rank(rows: list[dict[int, int]]) -> int:
     """Rank of an integer matrix given as sparse rows {column: entry}.
 
-    Fraction-free elimination: each update is pivot*row - entry*pivot_row,
-    followed by a row-gcd reduction to keep entries small. Row operations
-    of this kind scale rows by nonzero integers, so the rank is preserved.
-    Pivot rows are chosen shortest-first (sparsity), the pivot column by
-    smallest entry within that row.
+    Fraction-free elimination on a copy; the caller's rows are not changed.
+    Each row is first divided by its content. The pivot row is a shortest
+    remaining row; within it, the pivot column is the one that occurs in
+    the fewest remaining rows (a Markowitz-style choice that keeps fill-in
+    low), ties going to the smallest |entry| and then the smallest column.
+    A row r with entry rv in the pivot column becomes a*r - b*pivot_row
+    with a = pv/g, b = rv/g and g = gcd(pv, rv), and is then divided by its
+    content. These operations scale rows by nonzero integers and add
+    multiples of other rows, so the rank is preserved.
     """
-    work = [dict(r) for r in rows if r]
+    work: dict[int, dict[int, int]] = {}
+    # rows_with[c]: ids of the remaining rows with a nonzero entry in column c
+    rows_with: dict[int, set[int]] = {}
+    for i, r in enumerate(rows):
+        if not r:
+            continue
+        g = gcd(*r.values())
+        work[i] = {c: v // g for c, v in r.items()} if g > 1 else dict(r)
+        for c in r:
+            rows_with.setdefault(c, set()).add(i)
     rank = 0
     while work:
-        k = min(range(len(work)), key=lambda i: len(work[i]))
-        pivot_row = work.pop(k)
-        col = min(pivot_row, key=lambda c: (abs(pivot_row[c]), c))
-        pv = pivot_row[col]
+        i = min(work, key=lambda j: len(work[j]))
+        pivot_row = work.pop(i)
+        for c in pivot_row:
+            rows_with[c].discard(i)
+        col = min(pivot_row, key=lambda c: (len(rows_with[c]), abs(pivot_row[c]), c))
+        pv = pivot_row.pop(col)
+        if pv < 0:
+            # a positive pivot makes a = 1 whenever |pv| divides rv
+            pv = -pv
+            pivot_row = {c: -v for c, v in pivot_row.items()}
         rank += 1
-        reduced = []
-        for row in work:
-            rv = row.get(col)
-            if rv is None:
-                reduced.append(row)
-                continue
-            new = {c: pv * v for c, v in row.items() if c != col}
+        for j in rows_with.pop(col):
+            row = work[j]
+            rv = row.pop(col)
+            g = gcd(pv, rv)
+            a, b = pv // g, rv // g
+            if a != 1:
+                for c in row:
+                    row[c] *= a
             for c, pw in pivot_row.items():
-                if c == col:
-                    continue
-                nv = new.get(c, 0) - rv * pw
+                nv = row.get(c, 0) - b * pw
                 if nv:
-                    new[c] = nv
+                    if c not in row:
+                        rows_with[c].add(j)
+                    row[c] = nv
                 else:
-                    new.pop(c, None)
-            if new:
-                g = 0
-                for v in new.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-                if g > 1:
-                    new = {c: v // g for c, v in new.items()}
-                reduced.append(new)
-        work = reduced
+                    del row[c]
+                    rows_with[c].discard(j)
+            if not row:
+                del work[j]
+                continue
+            g = gcd(*row.values())
+            if g > 1:
+                for c in row:
+                    row[c] //= g
     return rank
 
 

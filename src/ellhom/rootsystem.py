@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import factorial, lcm
 from operator import mul
@@ -156,8 +156,12 @@ class WeylSubgroup:
     def __iter__(self):
         return iter(self.elements)
 
+    @cached_property
+    def _matrices(self) -> frozenset:
+        return frozenset(u.matrix for u in self.elements)
+
     def __contains__(self, w: WeylElement) -> bool:
-        return any(w.matrix == u.matrix for u in self.elements)
+        return w.matrix in self._matrices
 
 
 class RootSystem:
@@ -243,8 +247,13 @@ class RootSystem:
     def simple_root(self, i: int) -> Weight:
         return tuple(self.cartan[k][i] for k in range(self.rank))
 
+    def _require_rank(self, mu: Weight) -> None:
+        if len(mu) != self.rank:
+            raise ValueError(f"weight {mu} does not have rank {self.rank}")
+
     def root_coords(self, mu: Weight) -> tuple[Fraction, ...]:
         """Coordinates of mu in the simple-root basis (rational in general)."""
+        self._require_rank(mu)
         return tuple(
             sum(self.cartan_inv[i][j] * mu[j] for j in range(self.rank))
             for i in range(self.rank)
@@ -252,8 +261,7 @@ class RootSystem:
 
     def height(self, mu: Weight) -> Fraction:
         """Sum of the simple-root coordinates of mu."""
-        if len(mu) != self.rank:
-            raise ValueError(f"weight {mu} does not have rank {self.rank}")
+        self._require_rank(mu)
         return Fraction(sum(map(mul, self.height_vector, mu)), self.height_scale)
 
     def in_positive_root_lattice(self, mu: Weight) -> bool:
@@ -262,6 +270,7 @@ class RootSystem:
 
     def inner(self, lam: Weight, mu: Weight) -> Fraction:
         """W-invariant bilinear form, normalized so (alpha_i,alpha_i) = 2*d_i."""
+        self._require_rank(lam)
         x = self.root_coords(mu)
         return sum(
             (Fraction(self.symmetrizer[j]) * lam[j]) * x[j] for j in range(self.rank)

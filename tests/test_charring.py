@@ -218,6 +218,20 @@ def test_non_exact_division_with_tied_leading_height_raises(a2):
         divide_exact(CharElement.one(2), q, a2)
 
 
+def test_coefficients_are_integers_and_round_trip():
+    from fractions import Fraction
+
+    with pytest.raises(ValueError, match="not an integer"):
+        CharElement(1, {(1,): Fraction(1, 2)})
+    with pytest.raises(ValueError, match="not an integer"):
+        CharElement(1, {(1,): 1.0})
+    a = CharElement(1, {(1,): Fraction(4, 2), (2,): Fraction(0)})
+    assert a.terms == {(1,): 2}
+    assert type(a.terms[(1,)]) is int
+    assert a.to_dict()["terms"] == [{"w": [1], "c": "2"}]
+    assert CharElement.from_dict(a.to_dict()) == a
+
+
 def test_division_rank_mismatch_raises(a2):
     with pytest.raises(ValueError, match="rank mismatch"):
         divide_exact(CharElement.monomial((1, 0, 5)), CharElement.monomial((1, 0)), a2)

@@ -90,6 +90,11 @@ def test_homology_command_with_word(capsys):
     assert out["positive_system"] == [[-2]]
 
 
+def test_homology_complex_cap_exits_2(capsys):
+    assert main(["homology", "--type", "A7", "--weight", "0,0,0,0,0,0,0"]) == 2
+    assert "chain complex too large" in capsys.readouterr().err
+
+
 def test_pairing_sl2_identity(capsys):
     assert main(["pairing", "--preset", "sl2", "--bound", "1", "--kind", "elliptic"]) == 0
     out = json.loads(capsys.readouterr().out)

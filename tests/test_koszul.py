@@ -1,6 +1,10 @@
 """The chain-complex homology oracle against frozen values and closed forms."""
 
+import time
+
 import pytest
+
+import ellhom.koszul
 
 from ellhom import (
     CapExceededError,
@@ -117,6 +121,39 @@ def test_input_validation(a2):
 def test_dimension_cap(a2):
     with pytest.raises(CapExceededError, match="module too large"):
         koszul_n_homology((3, 3), a2.positive_roots, a2, cap_dim=10)
+
+
+def test_complex_cap_bounds_the_whole_complex(monkeypatch):
+    # dim V = 1 but 2^28 basis elements: refused before the module is built
+    def no_module(rs, lam):
+        raise AssertionError("the complex was not capped before assembly")
+
+    monkeypatch.setattr(ellhom.koszul, "module_for", no_module)
+    a7 = parse_type("A7")
+    start = time.monotonic()
+    with pytest.raises(CapExceededError, match="chain complex too large"):
+        koszul_n_homology((0,) * 7, a7.positive_roots, a7)
+    assert time.monotonic() - start < 5
+
+
+def test_oracle_fails_on_a_wrong_rank(monkeypatch, g2):
+    real = ellhom.koszul.sparse_int_rank
+    fired = []
+
+    def one_too_small(rows):
+        rank = real(rows)
+        if rank and not fired:
+            fired.append(True)
+            return rank - 1
+        return rank
+
+    monkeypatch.setattr(ellhom.koszul, "sparse_int_rank", one_too_small)
+    try:
+        gh = koszul_n_homology((1, 0), g2.positive_roots, g2)
+    except AssertionError:
+        return
+    assert fired
+    assert gh != kostant_homology((1, 0), g2)
 
 
 def test_graded_homology_serialization(a1):

@@ -1,0 +1,78 @@
+"""Exact sparse integer rank against an independent Fraction elimination.
+
+The reference below is textbook Gaussian elimination over Q on a dense
+copy, written here so it shares no code with ellhom.linalg.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from ellhom.linalg import sparse_int_rank
+
+
+def reference_rank(rows, n_cols):
+    a = [[Fraction(r.get(c, 0)) for c in range(n_cols)] for r in rows]
+    rank = 0
+    for c in range(n_cols):
+        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for i in range(len(a)):
+            if i != rank and a[i][c]:
+                f = a[i][c] / a[rank][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([2**61 - 1, -(2**45), 10**30, 6, -12]),
+)
+
+
+@st.composite
+def sparse_matrices(draw):
+    n_cols = draw(st.integers(1, 7))
+    base = draw(st.lists(
+        st.lists(ENTRIES, min_size=n_cols, max_size=n_cols), min_size=0, max_size=6,
+    ))
+    rows = [{c: v for c, v in enumerate(r) if v} for r in base]
+    # planted dependencies: integer combinations of rows already present
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        x, y = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+        combo = {c: x * rows[i].get(c, 0) + y * rows[j].get(c, 0) for c in range(n_cols)}
+        rows.append({c: v for c, v in combo.items() if v})
+    # repeated columns: copy column 0 into a fresh column
+    if draw(st.booleans()):
+        for r in rows:
+            if 0 in r:
+                r[n_cols] = r[0]
+        n_cols += 1
+    rows += [{}] * draw(st.integers(0, 2))
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], n_cols
+
+
+@given(data=sparse_matrices())
+@settings(max_examples=300, deadline=None)
+def test_sparse_int_rank_matches_fraction_elimination(data):
+    rows, n_cols = data
+    before = [dict(r) for r in rows]
+    assert sparse_int_rank(rows) == reference_rank(rows, n_cols)
+    assert rows == before
+
+
+def test_sparse_int_rank_small_cases():
+    assert sparse_int_rank([]) == 0
+    assert sparse_int_rank([{}, {}]) == 0
+    assert sparse_int_rank([{0: 2, 1: 4}, {0: -3, 1: -6}]) == 1
+    assert sparse_int_rank([{0: 2, 5: 3}, {5: 7}, {0: 1}]) == 2
+    # columns are arbitrary integer labels, not positions
+    assert sparse_int_rank([{10**9: 1}, {-7: 1}]) == 2

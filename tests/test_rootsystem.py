@@ -241,6 +241,28 @@ def test_subgroup_from_generators(a2):
         a2.element_from_matrix(((1, 1), (0, 1)))
 
 
+def test_subgroup_membership_is_by_matrix(a2):
+    sub = subgroup_from_generators(a2, [a2.simple_reflection(0)])
+    s1 = a2.simple_reflection(1)
+    assert s1 not in sub
+    assert a2.compose(a2.simple_reflection(0), a2.simple_reflection(0)) in sub
+    assert all(w in sub for w in sub)
+
+
+def test_lattice_helpers_reject_wrong_length_weights(a2):
+    with pytest.raises(ValueError, match="does not have rank 2"):
+        a2.root_coords((1, 0, 5))
+    with pytest.raises(ValueError, match="does not have rank 2"):
+        a2.in_positive_root_lattice((2, -1, 7))
+    with pytest.raises(ValueError, match="does not have rank 2"):
+        a2.inner((1, 0), (1, 0, 5))
+    with pytest.raises(ValueError, match="does not have rank 2"):
+        a2.inner((1, 0, 5), (1, 0))
+    with pytest.raises(ValueError, match="does not have rank 2"):
+        a2.root_coords((1,))
+    assert a2.root_coords((1, 0)) == (Fraction(2, 3), Fraction(1, 3))
+
+
 def test_outer_automorphisms_are_rejected(a2):
     # the A2 diagram flip permutes the roots but is not a Weyl element
     with pytest.raises(ValueError, match="not lie in the Weyl group"):
