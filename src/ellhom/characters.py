@@ -3,11 +3,16 @@
 The two algorithms are independent of each other (multiplicity recursion vs.
 alternating-sum division by the denominator) and are required to agree; the
 agreement is one of the verification suites.
+
+The Freudenthal recursion runs in integers: every inner product it needs is
+taken scaled by the common denominator of the inverse Cartan matrix, and the
+scale cancels in the quotient that gives each multiplicity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul, sub
 
 from .charring import CharElement, divide_exact, half_denominator
 from .rootsystem import RootSystem, Weight
@@ -31,18 +36,19 @@ def _require_dominant(lam: Weight, rs: RootSystem):
 def dominant_representative(mu: Weight, rs: RootSystem) -> Weight:
     """The dominant weight in the W-orbit of mu."""
     mu = tuple(mu)
+    simple_roots = rs.simple_roots
     while True:
         for i, x in enumerate(mu):
             if x < 0:
-                alpha = rs.simple_root(i)
-                mu = tuple(y - x * a for y, a in zip(mu, alpha))
+                mu = tuple([y - x * a for y, a in zip(mu, simple_roots[i])])
                 break
         else:
             return mu
 
 
-def weight_system(lam: Weight, rs: RootSystem) -> set[Weight]:
-    """All weights of the irreducible module with highest weight lam.
+def weight_system(lam: Weight, rs: RootSystem) -> dict[Weight, Weight]:
+    """All weights of the irreducible module with highest weight lam, each
+    mapped to the dominant weight in its W-orbit.
 
     Breadth-first from lam by subtracting simple roots; membership of a
     candidate is decided by whether lam minus its dominant representative
@@ -50,20 +56,18 @@ def weight_system(lam: Weight, rs: RootSystem) -> set[Weight]:
     """
     _require_dominant(lam, rs)
     lam = tuple(lam)
-    found = {lam}
+    found = {lam: lam}
     frontier = [lam]
     while frontier:
         new = []
         for mu in frontier:
-            for i in range(rs.rank):
-                alpha = rs.simple_root(i)
-                nu = tuple(x - a for x, a in zip(mu, alpha))
+            for alpha in rs.simple_roots:
+                nu = tuple(map(sub, mu, alpha))
                 if nu in found:
                     continue
                 dom = dominant_representative(nu, rs)
-                diff = tuple(x - y for x, y in zip(lam, dom))
-                if rs.in_positive_root_lattice(diff):
-                    found.add(nu)
+                if rs.in_positive_root_lattice(tuple(map(sub, lam, dom))):
+                    found[nu] = dom
                     new.append(nu)
         frontier = new
     return found
@@ -71,40 +75,58 @@ def weight_system(lam: Weight, rs: RootSystem) -> set[Weight]:
 
 def freudenthal_character(lam: Weight, rs: RootSystem) -> CharElement:
     """Formal character of the highest-weight module by the Freudenthal
-    multiplicity recursion; W-invariant with multiplicity 1 at lam."""
-    _require_dominant(lam, rs)
-    lam = tuple(lam)
+    multiplicity recursion; W-invariant with multiplicity 1 at lam.
+
+    The recursion runs in integers. With s = rs.coord_scale, the Gram
+    matrix gram[i][j] = s * (omega_i, omega_j) = d_i * rs.coord_matrix[i][j]
+    is integral, and so are f_alpha = gram . alpha, with f_alpha . nu =
+    s * (nu, alpha), and the scaled norms s * (x, x). The multiplicity
+    2 * total / denom is a ratio of two values scaled by the same s, so the
+    scale cancels and an exact ``divmod`` decides integrality.
+    """
     weights = weight_system(lam, rs)
+    lam = tuple(lam)
+    hvec = rs.height_vector
+    # highest first: by height, then by weight
     dominants = sorted(
-        (mu for mu in weights if is_dominant(mu)),
-        key=lambda mu: (rs.height(tuple(l - m for l, m in zip(lam, mu))), mu),
+        set(weights.values()), key=lambda mu: (-sum(map(mul, hvec, mu)), mu)
     )
+    gram = tuple(
+        tuple([d * x for x in row]) for d, row in zip(rs.symmetrizer, rs.coord_matrix)
+    )
+
+    def scaled_norm(x: Weight) -> int:
+        return sum(map(mul, x, [sum(map(mul, row, x)) for row in gram]))
+
+    strings = []
+    for alpha in rs.positive_roots:
+        f = [sum(map(mul, row, alpha)) for row in gram]
+        strings.append((alpha, f, sum(map(mul, f, alpha))))
     rho = rs.rho
-    lam_rho = tuple(l + r for l, r in zip(lam, rho))
-    top = rs.inner(lam_rho, lam_rho)
+    top = scaled_norm(tuple(map(add, lam, rho)))
     mults: dict[Weight, int] = {}
     for mu in dominants:
         if mu == lam:
             mults[mu] = 1
             continue
-        total = Fraction(0)
-        for alpha in rs.positive_roots:
-            k = 1
+        total = 0
+        for alpha, f, step in strings:
+            # pair = s * (mu + k*alpha, alpha) along the alpha-string above mu
+            pair = sum(map(mul, f, mu))
+            nu = mu
             while True:
-                nu = tuple(x + k * a for x, a in zip(mu, alpha))
-                if nu not in weights:
+                nu = tuple(map(add, nu, alpha))
+                dom = weights.get(nu)
+                if dom is None:
                     break
-                total += mults[dominant_representative(nu, rs)] * rs.inner(nu, alpha)
-                k += 1
-        mu_rho = tuple(m + r for m, r in zip(mu, rho))
-        denom = top - rs.inner(mu_rho, mu_rho)
-        value = 2 * total / denom
-        if value.denominator != 1 or value <= 0:
+                pair += step
+                total += mults[dom] * pair
+        denom = top - scaled_norm(tuple(map(add, mu, rho)))
+        value, r = divmod(2 * total, denom)
+        if r or value <= 0:
             raise InternalConsistencyError(f"non-integral multiplicity at {mu}")
-        mults[mu] = int(value)
-    return CharElement(
-        rs.rank, {mu: mults[dominant_representative(mu, rs)] for mu in weights}
-    )
+        mults[mu] = value
+    return CharElement(rs.rank, {nu: mults[dom] for nu, dom in weights.items()})
 
 
 def weyl_dimension(lam: Weight, rs: RootSystem) -> int:

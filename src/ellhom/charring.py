@@ -4,11 +4,18 @@ Elements are finitely supported integer combinations of lattice characters
 e^mu, stored as sparse dicts keyed by weight coordinate vectors. The
 normalized Haar integral of e^mu is the Kronecker delta at mu = 0, so every
 torus integral below is a constant-term extraction.
+
+Weights are packed into single ints only inside a product (the packed
+exponent vectors of Monagan and Pearce, CASC 2007): each coordinate is
+shifted to start at 0 and given a radix wide enough for the product's
+exact box, so packing is additive without carries and the pair loop adds
+ints instead of building tuples. Stored terms keep their tuple keys.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import accumulate, repeat
 from numbers import Rational
 from operator import add, le, mul, neg, sub
 
@@ -78,6 +85,18 @@ class CharElement:
         return self + (-other)
 
     def __mul__(self, other):
+        """Product with an int or another CharElement.
+
+        Weights are packed into ints for the pair loop. Coordinate j of a
+        weight of one operand lies in [lo_a, hi_a], of the other in
+        [lo_b, hi_b]; with radix r_j = (hi_a - lo_a) + (hi_b - lo_b) + 1 and
+        place_j the product of the radices before j, a weight mu of the
+        first packs to sum_j (mu_j - lo_a_j) * place_j, and likewise for the
+        second. Digit j of a sum of two packed weights is at most r_j - 1,
+        so no carry occurs and no bound check is needed: ka + kb is the
+        packed form of mu + nu, decoded digit by digit by quotient and
+        remainder and shifted back by lo_a + lo_b.
+        """
         if isinstance(other, int):
             if other == 0:
                 return CharElement.zero(self.rank)
@@ -85,21 +104,41 @@ class CharElement:
             res.rank = self.rank
             res.terms = {mu: c * other for mu, c in self.terms.items()}
             return res
+        if not isinstance(other, CharElement):
+            return NotImplemented
         self._check_rank(other)
-        out: dict[Weight, int] = {}
         small, large = (self.terms, other.terms)
         if len(small) > len(large):
             small, large = large, small
-        for mu, c in small.items():
-            for nu, d in large.items():
-                key = tuple(map(add, mu, nu))
-                v = out.get(key, 0) + c * d
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
         res = CharElement.__new__(CharElement)
-        res.rank, res.terms = self.rank, out
+        res.rank = self.rank
+        if not small:
+            res.terms = {}
+            return res
+        cols_s, cols_l = tuple(zip(*small)), tuple(zip(*large))
+        lo_s, lo_l = tuple(map(min, cols_s)), tuple(map(min, cols_l))
+        lo = tuple(map(add, lo_s, lo_l))
+        hi = map(add, map(max, cols_s), map(max, cols_l))
+        radices = [h - l + 1 for h, l in zip(hi, lo)]
+        places = tuple(accumulate(radices[:-1], mul, initial=1))
+        off_s = sum(map(mul, lo_s, places))
+        off_l = sum(map(mul, lo_l, places))
+        packed_large = [(sum(map(mul, nu, places)) - off_l, d) for nu, d in large.items()]
+        out: dict[int, int] = {}
+        get = out.get
+        for mu, c in small.items():
+            ka = sum(map(mul, mu, places)) - off_s
+            for kb, d in packed_large:
+                k = ka + kb
+                out[k] = get(k, 0) + c * d
+        keys = [k for k, c in out.items() if c]
+        coeffs = [c for c in out.values() if c]
+        digits = []
+        for r, base in zip(radices, lo):
+            digits.append([k % r + base for k in keys])
+            keys = [k // r for k in keys]
+        weights = zip(*digits) if digits else repeat((), len(coeffs))
+        res.terms = dict(zip(weights, coeffs))
         return res
 
     __rmul__ = __mul__
@@ -192,7 +231,7 @@ def torus_pairing(a: CharElement, b: CharElement) -> int:
     small, large = (a.terms, b.terms)
     if len(small) > len(large):
         small, large = large, small
-    return sum(c * large.get(mu, 0) for mu, c in small.items())
+    return sum(map(mul, small.values(), map(large.get, small, repeat(0))))
 
 
 def weyl_denominator_full(rs: RootSystem) -> CharElement:

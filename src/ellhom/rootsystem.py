@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from math import factorial, lcm
-from operator import mul
+from math import factorial, gcd, lcm
+from operator import mul, neg
 
 from .linalg import fraction_inverse, int_matrix_inverse
 
@@ -119,10 +119,16 @@ def classical_weyl_order(series: str, rank: int) -> int:
     return 12  # G2
 
 
+def _matvec(m, v) -> Weight:
+    """Product of an integer matrix, given as a tuple of rows, and a vector
+    of the same length as its rows."""
+    return tuple([sum(map(mul, row, v)) for row in m])
+
+
 def _matmul(a, b) -> tuple[tuple[int, ...], ...]:
     """Product of two integer matrices given as tuples of rows."""
     cols = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+    return tuple(_matvec(cols, row) for row in a)
 
 
 @dataclass(frozen=True)
@@ -138,9 +144,10 @@ class WeylElement:
         return len(self.matrix)
 
     def act(self, mu: Weight) -> Weight:
-        if len(mu) != self.rank:
+        # map() would silently truncate a short weight
+        if len(mu) != len(self.matrix):
             raise ValueError("rank mismatch between Weyl element and weight")
-        return tuple(sum(row[j] * mu[j] for j in range(self.rank)) for row in self.matrix)
+        return _matvec(self.matrix, mu)
 
 
 @dataclass(frozen=True)
@@ -172,16 +179,21 @@ class RootSystem:
         self.rank = rank
         self.cartan = cartan_matrix(series, rank)
         self.symmetrizer = _symmetrizer(series, rank)
-        self.cartan_inv = tuple(
-            tuple(row) for row in fraction_inverse(self.cartan)
+        # alpha_i is column i of the Cartan matrix
+        self.simple_roots: tuple[Weight, ...] = tuple(zip(*self.cartan))
+        # root_coords(mu) = coord_matrix . mu / coord_scale: coord_matrix is
+        # the inverse Cartan matrix times the lcm of its denominators
+        inv = fraction_inverse(self.cartan)
+        self.coord_scale = lcm(*(x.denominator for row in inv for x in row))
+        self.coord_matrix = tuple(
+            tuple(int(x * self.coord_scale) for x in row) for row in inv
         )
-        # height(mu) = (height_vector . mu) / height_scale, where entry j of
-        # height_vector is the j-th column sum of cartan_inv times the scale
-        colsums = [sum(col, Fraction(0)) for col in zip(*self.cartan_inv)]
-        self.height_scale = lcm(*(x.denominator for x in colsums))
-        self.height_vector: Weight = tuple(
-            int(x * self.height_scale) for x in colsums
-        )
+        # height(mu) = (height_vector . mu) / height_scale: the column sums of
+        # coord_matrix over coord_scale, reduced to lowest terms
+        colsums = tuple(map(sum, zip(*self.coord_matrix)))
+        g = gcd(self.coord_scale, *colsums)
+        self.height_scale = self.coord_scale // g
+        self.height_vector: Weight = tuple(x // g for x in colsums)
         self._simple_reflection_matrices = tuple(
             self._reflection_matrix(i) for i in range(rank)
         )
@@ -222,42 +234,43 @@ class RootSystem:
             new = []
             for beta in frontier:
                 for m in self._simple_reflection_matrices:
-                    img = tuple(
-                        sum(m[k][j] * beta[j] for j in range(self.rank))
-                        for k in range(self.rank)
-                    )
+                    img = _matvec(m, beta)
                     if img not in roots:
                         roots.add(img)
                         new.append(img)
             frontier = new
+        scale, hvec = self.coord_scale, self.height_vector
         positive = []
         for beta in roots:
-            coords = self.root_coords(beta)
+            coords = self._scaled_coords(beta)
             if all(x >= 0 for x in coords):
-                if any(x.denominator != 1 for x in coords):
+                if any(x % scale for x in coords):
                     raise AssertionError("non-integral root coordinates")
-                positive.append(beta)
+                # sort key: height, then simple-root coordinates, largest first
+                key = (sum(map(mul, hvec, beta)), tuple(map(neg, coords)))
+                positive.append((key, beta))
         if 2 * len(positive) != len(roots):
             raise AssertionError("positive system does not split the roots in half")
-        positive.sort(key=lambda b: (self.height(b), tuple(-x for x in self.root_coords(b))))
-        return tuple(positive)
+        return tuple(beta for _, beta in sorted(positive))
 
     # -- lattice helpers -------------------------------------------------------
 
     def simple_root(self, i: int) -> Weight:
-        return tuple(self.cartan[k][i] for k in range(self.rank))
+        return self.simple_roots[i]
 
     def _require_rank(self, mu: Weight) -> None:
         if len(mu) != self.rank:
             raise ValueError(f"weight {mu} does not have rank {self.rank}")
 
+    def _scaled_coords(self, mu: Weight) -> Weight:
+        """coord_scale times the simple-root coordinates of mu."""
+        self._require_rank(mu)
+        return _matvec(self.coord_matrix, mu)
+
     def root_coords(self, mu: Weight) -> tuple[Fraction, ...]:
         """Coordinates of mu in the simple-root basis (rational in general)."""
-        self._require_rank(mu)
-        return tuple(
-            sum(self.cartan_inv[i][j] * mu[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
+        scale = self.coord_scale
+        return tuple(Fraction(x, scale) for x in self._scaled_coords(mu))
 
     def height(self, mu: Weight) -> Fraction:
         """Sum of the simple-root coordinates of mu."""
@@ -265,15 +278,18 @@ class RootSystem:
         return Fraction(sum(map(mul, self.height_vector, mu)), self.height_scale)
 
     def in_positive_root_lattice(self, mu: Weight) -> bool:
-        coords = self.root_coords(mu)
-        return all(x.denominator == 1 and x >= 0 for x in coords)
+        scale = self.coord_scale
+        return all(x >= 0 and not x % scale for x in self._scaled_coords(mu))
 
     def inner(self, lam: Weight, mu: Weight) -> Fraction:
-        """W-invariant bilinear form, normalized so (alpha_i,alpha_i) = 2*d_i."""
+        """W-invariant bilinear form, normalized so (alpha_i,alpha_i) = 2*d_i.
+
+        (lam, mu) = sum_j d_j lam_j x_j with x the root coordinates of mu,
+        because (omega_j, alpha_i) = d_i when i = j and 0 otherwise."""
         self._require_rank(lam)
-        x = self.root_coords(mu)
-        return sum(
-            (Fraction(self.symmetrizer[j]) * lam[j]) * x[j] for j in range(self.rank)
+        x = self._scaled_coords(mu)
+        return Fraction(
+            sum(map(mul, map(mul, self.symmetrizer, lam), x)), self.coord_scale
         )
 
     def is_root(self, mu: Weight) -> bool:
@@ -295,17 +311,12 @@ class RootSystem:
         matrix = tuple(tuple(int(v) for v in row) for row in matrix)
         inv = 0
         for alpha in self.positive_roots:
-            img = tuple(
-                sum(matrix[k][j] * alpha[j] for j in range(self.rank))
-                for k in range(self.rank)
-            )
+            img = _matvec(matrix, alpha)
             if img not in self._full_set:
                 raise ValueError("matrix does not permute the roots")
             if img not in self._positive_set:
                 inv += 1
-        mu = tuple(
-            sum(matrix[k][j] for j in range(self.rank)) for k in range(self.rank)
-        )  # m * rho
+        mu = tuple(map(sum, matrix))  # m * rho
         word = []
         while True:
             i = next((i for i, x in enumerate(mu) if x < 0), None)

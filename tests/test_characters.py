@@ -64,6 +64,17 @@ def test_two_algorithms_agree(token, bound):
         assert chi_f.coefficient(lam) == 1
 
 
+@pytest.mark.parametrize("token,lam", [("D4", (1, 1, 1, 1)), ("F4", (1, 0, 0, 0)), ("F4", (0, 0, 0, 1))])
+def test_two_algorithms_agree_in_rank_4(token, lam):
+    # the first types whose symmetrizer or inverse Cartan matrix has
+    # denominators unlike those of rank <= 3
+    rs = parse_type(token)
+    chi_f = freudenthal_character(lam, rs)
+    assert chi_f == weyl_character(lam, rs)
+    assert chi_f.coefficient_sum() == weyl_dimension(lam, rs)
+    assert chi_f.coefficient(lam) == 1
+
+
 def test_rank3_corner_weight():
     rs = parse_type("B3")
     chi = freudenthal_character((3, 3, 3), rs)
@@ -82,3 +93,15 @@ def test_characters_are_weyl_invariant(token):
 def test_internal_consistency_error_is_reachable_only_by_bug(a1):
     # sanity: the error type exists and derives from RuntimeError
     assert issubclass(InternalConsistencyError, RuntimeError)
+
+
+@pytest.mark.parametrize("token,symmetrizer,lam", [("B2", (1, 2), (1, 1)), ("A3", (1, 3, 1), (2, 0, 0))])
+def test_freudenthal_rejects_a_form_that_is_not_invariant(token, symmetrizer, lam):
+    # a wrong symmetrizer makes the form non-W-invariant; the recursion then
+    # meets a non-integral (B2) or negative (A3) multiplicity and must say so
+    import copy
+
+    rs = copy.copy(parse_type(token))
+    rs.symmetrizer = symmetrizer
+    with pytest.raises(InternalConsistencyError, match="non-integral multiplicity"):
+        freudenthal_character(lam, rs)

@@ -56,6 +56,17 @@ def test_monomial_products(a1, a2):
     assert e1 * e2 == CharElement.monomial((1, 1))
 
 
+def test_product_with_a_foreign_type_is_a_type_error():
+    from fractions import Fraction
+
+    x = CharElement.one(1)
+    for other in (Fraction(2), 2.0, "x"):
+        with pytest.raises(TypeError):
+            x * other
+        with pytest.raises(TypeError):
+            other * x
+
+
 def test_rank_mismatch_rejected():
     with pytest.raises(ValueError, match="rank mismatch"):
         CharElement.one(1) * CharElement.one(2)
@@ -253,3 +264,57 @@ def test_division_by_non_monic_divisors_round_trips(token, data):
     one_plus_two = CharElement.one(rs.rank) + CharElement.monomial(theta, 2)
     for q in (2 * half, half * one_plus, half.conjugate() * one_plus_two):
         assert divide_exact(q * x, q, rs) == x
+
+
+def naive_product(a, b):
+    """Tuple-key double loop over both operands."""
+    out = {}
+    for mu, c in a.terms.items():
+        for nu, d in b.terms.items():
+            key = tuple(x + y for x, y in zip(mu, nu))
+            out[key] = out.get(key, 0) + c * d
+    return {mu: c for mu, c in out.items() if c}
+
+
+@st.composite
+def wide_pairs(draw):
+    """Two elements of one rank 1-4 whose weights sit near a few anchors with
+    mixed-sign coordinates up to 10^6, so radices are wide and products of
+    nearby terms collide and may cancel."""
+    rank = draw(st.integers(1, 4))
+    anchors = draw(st.lists(st.tuples(*[st.integers(-10**6, 10**6)] * rank), min_size=1, max_size=3))
+
+    def element():
+        entries = draw(st.lists(
+            st.tuples(st.sampled_from(anchors), weights(rank, 2), st.integers(-3, 3)),
+            max_size=7,
+        ))
+        return CharElement(rank, {tuple(map(sum, zip(a, o))): c for a, o, c in entries})
+
+    return element(), element()
+
+
+@given(pair=wide_pairs())
+@settings(max_examples=300, deadline=None)
+def test_product_against_naive_double_loop(pair):
+    a, b = pair
+    before = (dict(a.terms), dict(b.terms))
+    expected = naive_product(a, b)
+    for prod in (a * b, b * a):
+        assert prod.rank == a.rank
+        assert prod.terms == expected
+        assert all(prod.terms.values())
+    assert (a.terms, b.terms) == before
+
+
+@pytest.mark.parametrize("alpha", [(1,), (-10**6,), (3, -2), (10**6, -10**6, 7), (0, 1, -1, 10**6)])
+def test_product_cancellation(alpha):
+    rank = len(alpha)
+    one = CharElement.one(rank)
+    e = CharElement.monomial(alpha)
+    two_alpha = tuple(2 * x for x in alpha)
+    prod = (one - e) * (one + e)
+    assert prod == one - CharElement.monomial(two_alpha)
+    assert prod.terms == {(0,) * rank: 1, two_alpha: -1}
+    assert (one - e) * CharElement.zero(rank) == CharElement.zero(rank)
+    assert e * e.conjugate() == one

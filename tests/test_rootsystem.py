@@ -5,6 +5,7 @@ permutation-expansion determinants) are reimplemented here so the checks
 do not share code with the library paths they validate.
 """
 
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -157,6 +158,50 @@ def test_integer_height_functional(series, rank):
         rs.height((1,) * (rank + 1))
 
 
+def oracle_inverse(matrix):
+    """Gauss-Jordan inverse over exact rationals."""
+    n = len(matrix)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col])
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [row[n:] for row in m]
+
+
+@pytest.mark.parametrize("series,rank", RANK_AT_MOST_4)
+def test_integer_lattice_helpers_match_fraction_definition(series, rank):
+    rs = build_root_system(series, rank)
+    inv = oracle_inverse(cartan_matrix(series, rank))
+    assert all(rs.coord_scale * x == y for r, q in zip(inv, rs.coord_matrix) for x, y in zip(r, q))
+    rng = random.Random(f"{series}{rank}")
+    weights = [tuple(rng.randint(-6, 6) for _ in range(rank)) for _ in range(40)]
+    # combinations of simple roots, so that both lattice answers occur
+    for _ in range(20):
+        coeffs = [rng.randint(-1, 3) for _ in range(rank)]
+        weights.append(tuple(
+            sum(c * a for c, a in zip(coeffs, rs.cartan[k])) for k in range(rank)
+        ))
+    coords = {}
+    for mu in weights:
+        x = tuple(sum(inv[i][j] * mu[j] for j in range(rank)) for i in range(rank))
+        coords[mu] = x
+        assert rs.root_coords(mu) == x
+        assert all(isinstance(v, Fraction) for v in rs.root_coords(mu))
+        assert rs.in_positive_root_lattice(mu) == all(v.denominator == 1 and v >= 0 for v in x)
+    assert any(map(rs.in_positive_root_lattice, weights))
+    assert not all(map(rs.in_positive_root_lattice, weights))
+    for lam in weights[:12]:
+        for mu in weights:
+            # (omega_j, alpha_i) = d_i * delta_ij
+            form = sum(Fraction(d) * l * x for d, l, x in zip(rs.symmetrizer, lam, coords[mu]))
+            assert rs.inner(lam, mu) == form == rs.inner(mu, lam)
+
+
 def test_json_dump_matches_interface(a2):
     assert a2.to_dict() == {
         "series": "A",
@@ -205,6 +250,9 @@ def test_act_examples(a1, a2):
     assert longest.act((1, 1)) == (-1, -1)
     with pytest.raises(ValueError, match="rank mismatch"):
         s.act((1, 0))
+    # a short weight must not be truncated by the row products
+    with pytest.raises(ValueError, match="rank mismatch"):
+        longest.act((1,))
 
 
 def test_rho_shift_examples(a1, a2):
