@@ -63,6 +63,8 @@ class CharElement:
             raise ValueError("rank mismatch between character-ring elements")
 
     def __add__(self, other: "CharElement") -> "CharElement":
+        if not isinstance(other, CharElement):
+            return NotImplemented
         self._check_rank(other)
         out = dict(self.terms)
         for mu, c in other.terms.items():
@@ -82,6 +84,8 @@ class CharElement:
         return res
 
     def __sub__(self, other: "CharElement") -> "CharElement":
+        if not isinstance(other, CharElement):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):

@@ -1,15 +1,24 @@
 """Concrete highest-weight modules with exact rational matrices.
 
+The basis of V_lam is numbered 0..dim-1 from the highest weight down:
+`spaces` maps each weight to the range of its basis numbers and
+`weight_of` maps each basis number back to its weight. Every operator,
+simple (e_i, f_i) or not (operator(root)), is one sparse map
+{v: {t: c}} sending basis vector v to sum_t c * basis vector t, and holds
+only nonzero exact entries.
+
 The module is built weight space by weight space going down from the
 highest weight. At each weight the candidate vectors are f_i applied to the
 basis one level up; their Gram matrix under the contravariant form (the
 symmetric form with <f_i x, y> = <x, e_i y> and <v, v> = 1 on the highest
-weight line) is computed from the sl2 commutation relations alone, a
-maximal nonsingular subset is kept as the basis, and every candidate is
-expanded over it. This gives exact matrices for the simple raising and
-lowering operators; matrices for arbitrary root vectors follow by taking
-iterated commutators, and the structure constants of the Lie algebra are
-read off once per root system inside a small faithful module.
+weight line) is computed from the sl2 commutation relations alone. One
+reduced row echelon form of that matrix does the rest: the form is
+nondegenerate on each weight space, so the linear relations among the
+columns are those among the candidates, the pivot columns are a basis and
+the reduced columns expand every candidate over it. Operators for
+arbitrary root vectors follow by taking iterated commutators, and the
+structure constants of the Lie algebra are read off once per root system
+inside a small faithful module.
 
 Nothing here consults the Weyl character formula or any closed form for
 homology, so the chain complexes built on top of these matrices are an
@@ -21,160 +30,119 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .characters import weyl_dimension
+from .linalg import fraction_rref
 from .rootsystem import RootSystem, Weight
 
+# {v: {t: c}}: basis vector v goes to sum_t c * basis vector t
+SparseOperator = dict[int, dict[int, Fraction]]
 
-def _apply_block(block, vec, target_len):
-    out = [Fraction(0)] * target_len
-    if block is None:
-        return out
-    for k, coeff in enumerate(vec):
-        if coeff:
-            row = block[k]
-            for t in range(target_len):
-                if row[t]:
-                    out[t] += coeff * row[t]
+
+def _apply(op: SparseOperator, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+    """op applied to the sparse vector vec, keeping only nonzero entries."""
+    out: dict[int, Fraction] = {}
+    for v, c in vec.items():
+        for t, a in op.get(v, {}).items():
+            out[t] = out.get(t, 0) + c * a
+    return {t: c for t, c in out.items() if c}
+
+
+def _commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
+    """[a, b] = a b - b a."""
+    out = {}
+    for v in sorted(a.keys() | b.keys()):
+        col = _apply(a, b.get(v, {}))
+        for t, c in _apply(b, a.get(v, {})).items():
+            col[t] = col.get(t, 0) - c
+        col = {t: c for t, c in col.items() if c}
+        if col:
+            out[v] = col
     return out
 
 
 class HighestWeightModule:
-    """The irreducible module V_lam on an explicit weight basis."""
+    """The irreducible module V_lam on an explicit numbered weight basis."""
 
     def __init__(self, rs: RootSystem, lam: Weight):
         if len(lam) != rs.rank or any(x < 0 for x in lam):
             raise ValueError(f"highest weight {lam} must be dominant of rank {rs.rank}")
         self.rs = rs
         self.lam = tuple(lam)
-        self.mults: dict[Weight, int] = {}
-        self.gram: dict[Weight, list[list[Fraction]]] = {}
-        # e_blocks[(i, w)][k] = coefficients of e_i(basis_k at w) over basis at w + alpha_i
-        self.e_blocks: dict[tuple[int, Weight], list[list[Fraction]]] = {}
-        # f_blocks[(i, w)][k] = coefficients of f_i(basis_k at w) over basis at w - alpha_i
-        self.f_blocks: dict[tuple[int, Weight], list[list[Fraction]]] = {}
-        self._op_cache: dict[Weight, dict[Weight, list[list[Fraction]]]] = {}
+        self.spaces: dict[Weight, range] = {}
+        self.weight_of: list[Weight] = []
+        # gram[v][u]: the contravariant form on basis vectors of one weight
+        self.gram: dict[int, dict[int, Fraction]] = {}
+        self.e: list[SparseOperator] = [{} for _ in range(rs.rank)]
+        self.f: list[SparseOperator] = [{} for _ in range(rs.rank)]
+        self._op_cache: dict[Weight, SparseOperator] = {}
         self._build()
 
     @property
     def dimension(self) -> int:
-        return sum(self.mults.values())
+        return len(self.weight_of)
+
+    @property
+    def mults(self) -> dict[Weight, int]:
+        """Weight multiplicities, read off the numbered basis."""
+        return {w: len(space) for w, space in self.spaces.items()}
 
     def _build(self):
-        rs = self.rs
-        rank = rs.rank
-        simples = [rs.simple_root(i) for i in range(rank)]
-        self.mults[self.lam] = 1
-        self.gram[self.lam] = [[Fraction(1)]]
-        for j in range(rank):
-            self.e_blocks[(j, self.lam)] = [[]]
+        simples = self.rs.simple_roots
+        self.spaces[self.lam] = range(1)
+        self.weight_of.append(self.lam)
+        self.gram[0] = {0: Fraction(1)}
         level = [self.lam]
         while level:
-            candidates_at: dict[Weight, None] = {}
-            for w in level:
-                for i in range(rank):
-                    candidates_at[tuple(x - a for x, a in zip(w, simples[i]))] = None
-            next_level = []
-            for nu in sorted(candidates_at):
-                if self._process_weight(nu, simples):
-                    next_level.append(nu)
-            level = next_level
+            below = {tuple(x - a for x, a in zip(w, alpha)) for w in level for alpha in simples}
+            level = [nu for nu in sorted(below) if self._process_weight(nu)]
 
-    def _process_weight(self, nu: Weight, simples) -> bool:
-        rs = self.rs
-        rank = rs.rank
-        parents = []
-        for i in range(rank):
-            p = tuple(x + a for x, a in zip(nu, simples[i]))
-            if p in self.mults:
-                parents.append((i, p))
-        cands = [(i, p, k) for (i, p) in parents for k in range(self.mults[p])]
+    def _process_weight(self, nu: Weight) -> bool:
+        rank = self.rs.rank
+        # candidate (i, b) is f_i applied to basis vector b of weight nu + alpha_i
+        cands = [
+            (i, b)
+            for i, alpha in enumerate(self.rs.simple_roots)
+            for b in self.spaces.get(tuple(x + a for x, a in zip(nu, alpha)), ())
+        ]
         if not cands:
             return False
-        target_mult = {
-            j: self.mults.get(tuple(x + a for x, a in zip(nu, simples[j])), 0)
-            for j in range(rank)
-        }
-        # e_j of each candidate f_i(b_k):  f_i(e_j b_k) + delta_ij <wt b, alpha_i^v> b_k
+        # e_j of each candidate f_i(b):  f_i(e_j b) + delta_ij <wt b, alpha_i^v> b
         ecand = []
-        for (i, p, k) in cands:
-            per_j = []
-            for j in range(rank):
-                tm = target_mult[j]
-                vec = [Fraction(0)] * tm
-                eb = self.e_blocks.get((j, p))
-                if eb is not None and eb[k]:
-                    up = tuple(x + a for x, a in zip(p, simples[j]))
-                    fb = self.f_blocks.get((i, up))
-                    if fb is not None and tm:
-                        for m, coeff in enumerate(eb[k]):
-                            if coeff:
-                                row = fb[m]
-                                for t in range(tm):
-                                    if row[t]:
-                                        vec[t] += coeff * row[t]
-                if i == j and tm:
-                    vec[k] += p[i]
-                per_j.append(vec)
-            ecand.append(per_j)
-        n = len(cands)
-        gram_cand = [[Fraction(0)] * n for _ in range(n)]
-        for c2 in range(n):
-            for c1 in range(n):
-                i, p, a = cands[c1]
-                col = ecand[c2][i]
-                g = self.gram[p][a]
-                gram_cand[c1][c2] = sum(
-                    (g[m] * col[m] for m in range(len(col)) if col[m]), Fraction(0)
-                )
-        selected: list[int] = []
-        inv: list[list[Fraction]] = []
-        for idx in range(n):
-            u = [gram_cand[s][idx] for s in selected]
-            iu = [sum((inv[r][m] * u[m] for m in range(len(u)) if u[m]), Fraction(0))
-                  for r in range(len(selected))]
-            schur = gram_cand[idx][idx] - sum(
-                (u[m] * iu[m] for m in range(len(u)) if u[m]), Fraction(0)
-            )
-            if schur == 0:
-                continue
-            k = len(selected)
-            new_inv = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
-            for r in range(k):
-                for c in range(k):
-                    new_inv[r][c] = inv[r][c] + iu[r] * iu[c] / schur
-                new_inv[r][k] = -iu[r] / schur
-                new_inv[k][r] = -iu[r] / schur
-            new_inv[k][k] = 1 / schur
-            inv = new_inv
-            selected.append(idx)
-        if not selected:
-            return False
-        m = len(selected)
-        self.mults[nu] = m
-        self.gram[nu] = [
-            [gram_cand[s1][s2] for s2 in selected] for s1 in selected
+        for i, b in cands:
+            images = [_apply(self.f[i], self.e[j].get(b, {})) for j in range(rank)]
+            images[i][b] = images[i].get(b, 0) + Fraction(self.weight_of[b][i])
+            if not images[i][b]:
+                del images[i][b]
+            ecand.append(images)
+        # <f_i b, x> = <b, e_i x>
+        gram_cand = [
+            [sum((g * ex[i].get(u, 0) for u, g in self.gram[b].items()), Fraction(0))
+             for ex in ecand]
+            for i, b in cands
         ]
-        for j in range(self.rs.rank):
-            self.e_blocks[(j, nu)] = [ecand[s][j] for s in selected]
-        # expand every candidate over the kept basis; this fills the f blocks
-        blocks: dict[tuple[int, Weight], list[list[Fraction]]] = {}
-        for (i, p) in parents:
-            blocks[(i, p)] = [None] * self.mults[p]
-        for idx, (i, p, k) in enumerate(cands):
-            u = [gram_cand[s][idx] for s in selected]
-            x = [sum((inv[r][c] * u[c] for c in range(m) if u[c]), Fraction(0))
-                 for r in range(m)]
-            blocks[(i, p)][k] = x
-        self.f_blocks.update(blocks)
+        rows, pivots = fraction_rref(gram_cand)
+        if not pivots:
+            return False
+        start = len(self.weight_of)
+        space = self.spaces[nu] = range(start, start + len(pivots))
+        self.weight_of.extend([nu] * len(space))
+        for v, s in zip(space, pivots):
+            self.gram[v] = {u: gram_cand[s][t] for u, t in zip(space, pivots) if gram_cand[s][t]}
+            for e_j, image in zip(self.e, ecand[s]):
+                if image:
+                    e_j[v] = image
+        for c, (i, b) in enumerate(cands):
+            image = {v: row[c] for v, row in zip(space, rows) if row[c]}
+            if image:
+                self.f[i][b] = image
         return True
 
     # -- root-vector operators -------------------------------------------------
 
-    def operator(self, root: Weight) -> dict[Weight, list[list[Fraction]]]:
-        """Matrix blocks of a root vector x_root on the module, keyed by
-        source weight; block[k] is the image of basis vector k over the
-        basis at source + root. The basis of the root space is fixed by
-        the recursion x_beta = [x_{alpha_i}, x_{beta - alpha_i}] with i
-        minimal, so the same operator is reproducible in every module."""
+    def operator(self, root: Weight) -> SparseOperator:
+        """The sparse map of a root vector x_root on the module. The basis of
+        the root space is fixed by the recursion x_beta = [x_{alpha_i},
+        x_{beta - alpha_i}] with i minimal, so the same operator is
+        reproducible in every module."""
         root = tuple(root)
         cached = self._op_cache.get(root)
         if cached is not None:
@@ -184,58 +152,19 @@ class HighestWeightModule:
             raise ValueError(f"{root} is not a root")
         positive = root in rs._positive_set
         base = root if positive else tuple(-x for x in root)
-        simple_index = next(
-            (i for i in range(rs.rank) if rs.simple_root(i) == base), None
-        )
-        if simple_index is not None:
-            blocks = {}
-            src = self.e_blocks if positive else self.f_blocks
-            for w in self.mults:
-                blk = src.get((simple_index, w))
-                if blk is not None and any(any(v) for v in blk):
-                    blocks[w] = blk
+        if base in rs.simple_roots:
+            op = (self.e if positive else self.f)[rs.simple_roots.index(base)]
         else:
-            i = next(
-                i for i in range(rs.rank)
-                if rs.is_positive_root(tuple(b - a for b, a in zip(base, rs.simple_root(i))))
+            alpha = next(
+                a for a in rs.simple_roots
+                if rs.is_positive_root(tuple(b - x for b, x in zip(base, a)))
             )
-            gamma = tuple(b - a for b, a in zip(base, rs.simple_root(i)))
-            if positive:
-                first, second = rs.simple_root(i), gamma
-            else:
-                first = tuple(-x for x in rs.simple_root(i))
-                second = tuple(-x for x in gamma)
-            blocks = self._commutator(self.operator(first), first, self.operator(second), second)
-        self._op_cache[root] = blocks
-        return blocks
-
-    def _commutator(self, op_a, shift_a, op_b, shift_b):
-        out = {}
-        for w in self.mults:
-            mid_b = tuple(x + s for x, s in zip(w, shift_b))
-            mid_a = tuple(x + s for x, s in zip(w, shift_a))
-            target = tuple(x + s + t for x, s, t in zip(w, shift_a, shift_b))
-            tm = self.mults.get(target, 0)
-            if tm == 0:
-                continue
-            block = []
-            nonzero = False
-            for k in range(self.mults[w]):
-                vb = op_b.get(w)
-                ab = _apply_block(
-                    op_a.get(mid_b), vb[k], tm
-                ) if vb is not None and self.mults.get(mid_b) else [Fraction(0)] * tm
-                va = op_a.get(w)
-                ba = _apply_block(
-                    op_b.get(mid_a), va[k], tm
-                ) if va is not None and self.mults.get(mid_a) else [Fraction(0)] * tm
-                vec = [x - y for x, y in zip(ab, ba)]
-                if any(vec):
-                    nonzero = True
-                block.append(vec)
-            if nonzero:
-                out[w] = block
-        return out
+            gamma = tuple(b - x for b, x in zip(base, alpha))
+            if not positive:
+                alpha, gamma = tuple(-x for x in alpha), tuple(-x for x in gamma)
+            op = _commutator(self.operator(alpha), self.operator(gamma))
+        self._op_cache[root] = op
+        return op
 
 
 def module_for(rs: RootSystem, lam: Weight) -> HighestWeightModule:
@@ -274,7 +203,7 @@ def structure_constants(rs: RootSystem) -> dict[tuple[Weight, Weight], Fraction]
             total = tuple(b + g for b, g in zip(beta, gamma))
             if all(x == 0 for x in total):
                 continue
-            comm = mod._commutator(ops[beta], beta, ops[gamma], gamma)
+            comm = _commutator(ops[beta], ops[gamma])
             if total not in root_set:
                 if comm:
                     raise AssertionError(
@@ -282,40 +211,16 @@ def structure_constants(rs: RootSystem) -> dict[tuple[Weight, Weight], Fraction]
                     )
                 continue
             target = ops[total]
-            c = None
-            for w in sorted(target):
-                for k, row in enumerate(target[w]):
-                    for t, v in enumerate(row):
-                        if v:
-                            cw = comm.get(w)
-                            c = (cw[k][t] if cw else Fraction(0)) / v
-                            break
-                    if c is not None:
-                        break
-                if c is not None:
-                    break
-            if c is None or c == 0:
+            c = Fraction(0)
+            if target:
+                v = min(target)
+                t = min(target[v])
+                c = comm.get(v, {}).get(t, 0) / target[v][t]
+            scaled = {v: {t: c * x for t, x in col.items()} for v, col in target.items()}
+            if c == 0 or comm != scaled:
                 raise AssertionError(
                     f"[x_{beta}, x_{gamma}] is not a nonzero multiple of x_{total}"
                 )
-            for w, blk in target.items():
-                cw = comm.get(w)
-                for k, row in enumerate(blk):
-                    for t, v in enumerate(row):
-                        got = cw[k][t] if cw else Fraction(0)
-                        if got != c * v:
-                            raise AssertionError(
-                                f"[x_{beta}, x_{gamma}] is not proportional to x_{total}"
-                            )
-            if comm:
-                for w, blk in comm.items():
-                    tw = target.get(w)
-                    for k, row in enumerate(blk):
-                        for t, v in enumerate(row):
-                            if v and (tw is None or tw[k][t] == 0):
-                                raise AssertionError(
-                                    f"[x_{beta}, x_{gamma}] has support outside x_{total}"
-                                )
             brackets[(beta, gamma)] = c
     rs._bracket_cache = brackets
     return brackets

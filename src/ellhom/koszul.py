@@ -17,6 +17,11 @@ rank in every block, so the homology is unchanged and no Fraction enters
 the assembly loop. Everything that depends only on a wedge subset (its
 weight, the subsets one degree down that its terms land on, and the signs)
 is computed once per subset, not once per basis vector.
+
+A basis vector of Lambda^p(n) tensor V is a wedge subset S of degree p and a
+basis number v of the module's one numbered basis; it is labelled
+index(S) * dim V + v, so the sparse operators of hwmodule are used as they
+are, with no per-weight offsets.
 """
 
 from __future__ import annotations
@@ -132,16 +137,12 @@ def koszul_n_homology(
         raise AssertionError(
             f"module construction produced dimension {mod.dimension}, expected {dim}"
         )
+    spaces = mod.spaces
+    # sorted weight order fixes the row order of every rank block
+    weights = sorted(spaces)
     brackets = structure_constants(rs)
     ops = [mod.operator(alpha) for alpha in ps]
     index_of = {alpha: a for a, alpha in enumerate(ps)}
-    weights = sorted(mod.mults)
-    mults = mod.mults
-    offset: dict[Weight, int] = {}
-    start = 0
-    for w in weights:
-        offset[w] = start
-        start += mults[w]
 
     # one common denominator for every coefficient of d; scaling d by a
     # nonzero constant changes no rank, so the scaled map is integral
@@ -152,22 +153,17 @@ def koszul_n_homology(
             if m_idx is not None:
                 bracket_of[(a, b)] = (m_idx, brackets[(ps[a], ps[b])])
     denom = lcm(
-        *(cf.denominator for op in ops for block in op.values() for vec in block for cf in vec),
+        *(cf.denominator for op in ops for image in op.values() for cf in image.values()),
         *(c.denominator for _, c in bracket_of.values()),
     )
-    # int_ops[a][w][k]: the image of basis vector k at w under x_a, scaled
-    # by denom, as (offsets in V, entries, negated entries)
+    # int_ops[a][v]: the image of basis vector v under x_a, scaled by denom,
+    # as (basis numbers, entries, negated entries)
     int_ops = []
-    for alpha, op in zip(ps, ops):
+    for op in ops:
         int_op = {}
-        for w, block in op.items():
-            base = offset[tuple(x + y for x, y in zip(w, alpha))]
-            int_rows = []
-            for vec in block:
-                offs = tuple(base + m for m, cf in enumerate(vec) if cf)
-                vals = tuple(int(cf * denom) for cf in vec if cf)
-                int_rows.append((offs, vals, tuple(-v for v in vals)))
-            int_op[w] = int_rows
+        for v, image in op.items():
+            vals = tuple(int(cf * denom) for cf in image.values())
+            int_op[v] = (tuple(image), vals, tuple(-x for x in vals))
         int_ops.append(int_op)
 
     dims: dict[tuple[int, Weight], int] = {}
@@ -178,8 +174,7 @@ def koszul_n_homology(
     for p in range(n_roots + 1):
         subsets = list(combinations(range(n_roots), p))
         # columns of the boundary map out of degree p, grouped by total weight;
-        # a basis vector (S, mu, m) of degree p - 1 is the integer
-        # index(S) * dim + offset(mu) + m
+        # a basis vector (S, v) of degree p - 1 is the integer index(S) * dim + v
         blocks: dict[Weight, list[dict[int, int]]] = {}
         for subset in subsets:
             sub_weight = [0] * rs.rank
@@ -211,20 +206,18 @@ def koszul_n_homology(
             # recovered from the target subset, so no entry ever cancels
             for w in weights:
                 total = tuple(x + y for x, y in zip(sub_weight, w))
-                mw = mults[w]
-                dims[(p, total)] = dims.get((p, total), 0) + mw
+                space = spaces[w]
+                dims[(p, total)] = dims.get((p, total), 0) + len(space)
                 cols = blocks.setdefault(total, [])
-                acting = [
-                    (int_op[w], base, odd) for int_op, base, odd in op_terms if w in int_op
-                ]
-                for k in range(mw):
+                for v in space:
                     col: dict[int, int] = {}
-                    for images, base, odd in acting:
-                        offs, vals, negs = images[k]
-                        col.update(zip([base + o for o in offs], negs if odd else vals))
-                    here = offset[w] + k
-                    for base, v in br_terms:
-                        col[base + here] = v
+                    for int_op, base, odd in op_terms:
+                        image = int_op.get(v)
+                        if image is not None:
+                            targets, vals, negs = image
+                            col.update(zip([base + t for t in targets], negs if odd else vals))
+                    for base, c in br_terms:
+                        col[base + v] = c
                     if col:
                         cols.append(col)
         lower_index = {subset: i for i, subset in enumerate(subsets)}
@@ -256,18 +249,10 @@ def euler_class(gh: GradedHomology) -> CharElement:
 
 def euler_class_closed_form(lam: Weight, rs: RootSystem) -> CharElement:
     """Closed form (-1)^{|R+|} sum_w eps(w) e^{w(lam+rho)+rho}; equals both
-    the Koszul Euler class and half_denominator * weyl_character."""
-    lam = tuple(lam)
-    if len(lam) != rs.rank or any(x < 0 for x in lam):
-        raise ValueError(f"weight {lam} must be dominant of rank {rs.rank}")
-    lam_rho = tuple(x + 1 for x in lam)
-    n = len(rs.positive_roots)
-    sign = -1 if n % 2 else 1
-    terms: dict[Weight, int] = {}
-    for w in rs.weyl_group():
-        mu = tuple(x + 1 for x in w.act(lam_rho))
-        terms[mu] = terms.get(mu, 0) + sign * w.sign
-    return CharElement(rs.rank, terms)
+    the Koszul Euler class and half_denominator * weyl_character. It is the
+    Euler class of kostant_homology, since (-1)^{|R+|} eps(w) =
+    (-1)^{|R+| - l(w)}; a weight that is not dominant raises ValueError."""
+    return euler_class(kostant_homology(lam, rs))
 
 
 def kostant_homology(lam: Weight, rs: RootSystem) -> GradedHomology:

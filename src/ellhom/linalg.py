@@ -1,7 +1,7 @@
 """Exact linear algebra over the integers and rationals.
 
 Everything here is fraction-free or Fraction-based; no floating point
-anywhere, so ranks and determinants are exact by construction.
+anywhere, so ranks and echelon forms are exact by construction.
 """
 
 from __future__ import annotations
@@ -73,57 +73,23 @@ def sparse_int_rank(rows: list[dict[int, int]]) -> int:
     return rank
 
 
-def int_det(matrix) -> int:
-    """Determinant of a square integer matrix (Bareiss)."""
-    a = [list(row) for row in matrix]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def fraction_inverse(matrix) -> list[list[Fraction]]:
-    """Inverse of a square matrix with integer or Fraction entries."""
-    n = len(matrix)
-    a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+def fraction_rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of a matrix with int or Fraction entries:
+    its nonzero rows, and the pivot column of each. Column c of the input
+    is sum_k rows[k][c] times input column pivots[k]."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((k for k in range(r, len(rows)) if rows[k][col]), None)
         if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [v / pv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
-def int_matrix_inverse(matrix) -> tuple[tuple[int, ...], ...]:
-    """Inverse of an integer matrix that is invertible over the integers."""
-    inv = fraction_inverse(matrix)
-    out = []
-    for row in inv:
-        for v in row:
-            if v.denominator != 1:
-                raise ValueError("matrix is not invertible over the integers")
-        out.append(tuple(int(v) for v in row))
-    return tuple(out)
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][col]
+        rows[r] = [v / pv for v in rows[r]]
+        for k, row in enumerate(rows):
+            if k != r and row[col]:
+                f = row[col]
+                rows[k] = [v - f * w for v, w in zip(row, rows[r])]
+        pivots.append(col)
+    return rows[:len(pivots)], pivots

@@ -15,7 +15,7 @@ from itertools import product
 from math import factorial, gcd, lcm
 from operator import mul, neg
 
-from .linalg import fraction_inverse, int_matrix_inverse
+from .linalg import fraction_rref
 
 Weight = tuple[int, ...]
 
@@ -182,8 +182,11 @@ class RootSystem:
         # alpha_i is column i of the Cartan matrix
         self.simple_roots: tuple[Weight, ...] = tuple(zip(*self.cartan))
         # root_coords(mu) = coord_matrix . mu / coord_scale: coord_matrix is
-        # the inverse Cartan matrix times the lcm of its denominators
-        inv = fraction_inverse(self.cartan)
+        # the inverse Cartan matrix times the lcm of its denominators; the
+        # reduced echelon form of (C | 1) is (1 | C^-1)
+        rows, _ = fraction_rref([row + tuple(int(i == j) for j in range(rank))
+                                 for i, row in enumerate(self.cartan)])
+        inv = [row[rank:] for row in rows]
         self.coord_scale = lcm(*(x.denominator for row in inv for x in row))
         self.coord_matrix = tuple(
             tuple(int(x * self.coord_scale) for x in row) for row in inv
@@ -212,7 +215,6 @@ class RootSystem:
         self.weyl_order = classical_weyl_order(series, rank)
         # lazy caches, all keyed by immutable data
         self._weyl_group: WeylSubgroup | None = None
-        self._inverse_cache: dict[tuple, WeylElement] = {}
         self._module_cache: dict[Weight, object] = {}
         self._bracket_cache = None
 
@@ -341,13 +343,6 @@ class RootSystem:
 
     def compose(self, w1: WeylElement, w2: WeylElement) -> WeylElement:
         return self.element_from_matrix(_matmul(w1.matrix, w2.matrix))
-
-    def inverse(self, w: WeylElement) -> WeylElement:
-        cached = self._inverse_cache.get(w.matrix)
-        if cached is None:
-            cached = self.element_from_matrix(int_matrix_inverse(w.matrix))
-            self._inverse_cache[w.matrix] = cached
-        return cached
 
     def from_word(self, word) -> WeylElement:
         w = self.identity_element()

@@ -148,7 +148,9 @@ def suite_kazhdan(cfg) -> list[dict]:
 
 def suite_osborne(cfg) -> list[dict]:
     """Three-way equality of the chain-complex Euler class, the closed form,
-    and half_denominator times the Weyl character."""
+    and half_denominator times the Weyl character, plus equality of the
+    chain-complex homology with Kostant's in every degree (an Euler class
+    alone cannot see a wrong rank)."""
     cases = []
     bound = min(cfg["bound"], 2)
     for token in cfg["types"] or RANK_LE_2:
@@ -162,7 +164,7 @@ def suite_osborne(cfg) -> list[dict]:
             b = half * weyl_character(lam, rs)
             c = euler_class_closed_form(lam, rs)
             count += 1
-            if not (a == b == c):
+            if not (a == b == c) or gh != kostant_homology(lam, rs):
                 bad += 1
         note = f"{token}, {count} weights, coords <= {bound}"
         cases.append(_case(f"osborne {token}", note, "0 mismatches", f"{bad} mismatches"))

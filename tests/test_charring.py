@@ -67,6 +67,16 @@ def test_product_with_a_foreign_type_is_a_type_error():
             other * x
 
 
+def test_sum_with_a_foreign_type_is_a_type_error():
+    x = CharElement.one(1)
+    with pytest.raises(TypeError):
+        x + 2
+    with pytest.raises(TypeError):
+        x - 1
+    with pytest.raises(TypeError):
+        x + "x"
+
+
 def test_rank_mismatch_rejected():
     with pytest.raises(ValueError, match="rank mismatch"):
         CharElement.one(1) * CharElement.one(2)
@@ -181,9 +191,10 @@ def test_pairing_weyl_invariance(a, b, idx):
     from ellhom import build_root_system
 
     rs = build_root_system("B", 2)
-    w = list(enumerate_weyl_group(rs))[idx % 8]
+    group = list(enumerate_weyl_group(rs))
+    w = group[idx % 8]
     assert torus_pairing(weyl_act(w, a), weyl_act(w, b)) == torus_pairing(a, b)
-    winv = rs.inverse(w)
+    winv = next(u for u in group if rs.compose(u, w) == rs.identity_element())
     assert weyl_act(w, weyl_act(winv, a)) == a
 
 

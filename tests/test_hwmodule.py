@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ellhom import parse_type, weyl_dimension
-from ellhom.hwmodule import module_for, structure_constants
+from ellhom.hwmodule import _commutator, module_for, structure_constants
 
 
 @pytest.mark.parametrize(
@@ -41,12 +41,11 @@ def test_cartan_commutator_is_diagonal(a2):
     for i in range(2):
         alpha = a2.simple_root(i)
         neg = tuple(-x for x in alpha)
-        h = mod._commutator(mod.operator(alpha), alpha, mod.operator(neg), neg)
-        for w, block in h.items():
-            for k, row in enumerate(block):
-                for t, v in enumerate(row):
-                    expected = Fraction(w[i]) if k == t else Fraction(0)
-                    assert v == expected, (w, i)
+        h = _commutator(mod.operator(alpha), mod.operator(neg))
+        for v, image in h.items():
+            for t, c in image.items():
+                expected = Fraction(mod.weight_of[v][i]) if t == v else Fraction(0)
+                assert c == expected, (mod.weight_of[v], i)
 
 
 def test_structure_constants_antisymmetry(g2):
@@ -59,7 +58,71 @@ def test_structure_constants_antisymmetry(g2):
 def test_operators_shift_weights_correctly(b2):
     mod = module_for(b2, (1, 0))
     for root in b2.full_roots:
-        for w, block in mod.operator(root).items():
-            target = tuple(x + r for x, r in zip(w, root))
-            assert target in mod.mults
-            assert all(len(row) == mod.mults[target] for row in block)
+        for v, image in mod.operator(root).items():
+            target = tuple(x + r for x, r in zip(mod.weight_of[v], root))
+            assert target in mod.spaces
+            assert all(t in mod.spaces[target] for t in image)
+
+
+def _compose(a, b):
+    """The sparse map a b, with only nonzero entries."""
+    out = {}
+    for v, image in b.items():
+        col = {}
+        for u, c in image.items():
+            for t, d in a.get(u, {}).items():
+                col[t] = col.get(t, 0) + c * d
+        col = {t: x for t, x in col.items() if x}
+        if col:
+            out[v] = col
+    return out
+
+
+def _bracket(a, b):
+    ab, ba = _compose(a, b), _compose(b, a)
+    out = {}
+    for v in ab.keys() | ba.keys():
+        col = dict(ab.get(v, {}))
+        for t, x in ba.get(v, {}).items():
+            col[t] = col.get(t, 0) - x
+        col = {t: x for t, x in col.items() if x}
+        if col:
+            out[v] = col
+    return out
+
+
+def _lie_weights(rank):
+    """Every fundamental weight, and rho for rank <= 2."""
+    weights = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    if rank <= 2:
+        weights.append((1,) * rank)
+    return list(dict.fromkeys(weights))
+
+
+LIE_CASES = [
+    (token, lam)
+    for token in ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2")
+    for lam in _lie_weights(int(token[1]))
+]
+
+
+@pytest.mark.parametrize("token,lam", LIE_CASES)
+def test_lie_relations_on_every_basis_vector(token, lam):
+    # [e_i, f_j] = delta_ij h_i with h_i acting on weight mu by mu_i, and the
+    # Serre relations (ad e_i)^{1 - C[i][j]} e_j = 0 = (ad f_i)^{1 - C[i][j]} f_j
+    rs = parse_type(token)
+    mod = module_for(rs, lam)
+    e = [mod.operator(alpha) for alpha in rs.simple_roots]
+    f = [mod.operator(tuple(-x for x in alpha)) for alpha in rs.simple_roots]
+    assert len(mod.weight_of) == weyl_dimension(lam, rs)
+    for i in range(rs.rank):
+        h_i = {v: {v: mu[i]} for v, mu in enumerate(mod.weight_of) if mu[i]}
+        for j in range(rs.rank):
+            assert _bracket(e[i], f[j]) == (h_i if i == j else {}), (i, j)
+            if i == j:
+                continue
+            for x in (e, f):
+                y = x[j]
+                for _ in range(1 - rs.cartan[i][j]):
+                    y = _bracket(x[i], y)
+                assert y == {}, (i, j)

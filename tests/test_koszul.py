@@ -136,7 +136,8 @@ def test_complex_cap_bounds_the_whole_complex(monkeypatch):
     assert time.monotonic() - start < 5
 
 
-def test_oracle_fails_on_a_wrong_rank(monkeypatch, g2):
+def _plant_rank_fault(monkeypatch):
+    """The first nonzero block rank in koszul comes out one too small."""
     real = ellhom.koszul.sparse_int_rank
     fired = []
 
@@ -148,12 +149,30 @@ def test_oracle_fails_on_a_wrong_rank(monkeypatch, g2):
         return rank
 
     monkeypatch.setattr(ellhom.koszul, "sparse_int_rank", one_too_small)
+    return fired
+
+
+def test_oracle_fails_on_a_wrong_rank(monkeypatch, g2):
+    fired = _plant_rank_fault(monkeypatch)
     try:
         gh = koszul_n_homology((1, 0), g2.positive_roots, g2)
     except AssertionError:
         return
     assert fired
     assert gh != kostant_homology((1, 0), g2)
+
+
+def test_osborne_suite_fails_on_a_wrong_rank(monkeypatch):
+    # a wrong rank leaves every Euler class unchanged, so the suite must
+    # compare the graded homology itself
+    from ellhom import verify
+
+    fired = _plant_rank_fault(monkeypatch)
+    cfg = dict(verify.default_config(), types=["A2"], bound=1)
+    report = verify.run_suite("osborne", cfg)
+    assert fired
+    assert [c["actual"] for c in report["cases"]] == ["1 mismatches"]
+    assert report["summary"]["failed"] == 1
 
 
 def test_graded_homology_serialization(a1):

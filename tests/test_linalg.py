@@ -1,4 +1,5 @@
-"""Exact sparse integer rank against an independent Fraction elimination.
+"""Exact sparse integer rank against an independent Fraction elimination,
+and the reduced echelon form against its defining properties.
 
 The reference below is textbook Gaussian elimination over Q on a dense
 copy, written here so it shares no code with ellhom.linalg.
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from ellhom.linalg import sparse_int_rank
+from ellhom.linalg import fraction_rref, sparse_int_rank
 
 
 def reference_rank(rows, n_cols):
@@ -76,3 +77,22 @@ def test_sparse_int_rank_small_cases():
     assert sparse_int_rank([{0: 2, 5: 3}, {5: 7}, {0: 1}]) == 2
     # columns are arbitrary integer labels, not positions
     assert sparse_int_rank([{10**9: 1}, {-7: 1}]) == 2
+
+
+@given(data=sparse_matrices())
+@settings(max_examples=200, deadline=None)
+def test_fraction_rref_pivots_and_column_relations(data):
+    rows, n_cols = data
+    matrix = [[r.get(c, 0) for c in range(n_cols)] for r in rows]
+    reduced, pivots = fraction_rref(matrix)
+    assert len(pivots) == len(reduced) == reference_rank(rows, n_cols)
+    assert pivots == sorted(set(pivots))
+    for k, row in enumerate(reduced):
+        assert [row[p] for p in pivots] == [int(k == l) for l in range(len(pivots))]
+        # echelon: nothing left of the pivot
+        assert not any(row[:pivots[k]])
+    # every input column is the combination of the pivot columns that the
+    # reduced column gives
+    for c in range(n_cols):
+        for r in matrix:
+            assert r[c] == sum(row[c] * r[p] for row, p in zip(reduced, pivots))

@@ -229,13 +229,11 @@ def test_weyl_cap_is_enforced(b2):
 
 
 def test_lengths_signs_and_root_permutation(a2, b2):
-    from ellhom.linalg import int_det
-
     for rs in (a2, b2):
         full = set(rs.full_roots)
         for w in enumerate_weyl_group(rs):
             assert w.sign == (-1) ** w.length
-            assert w.sign == oracle_det(w.matrix) == int_det(w.matrix)
+            assert w.sign == oracle_det(w.matrix)
             assert {w.act(alpha) for alpha in full} == full
             # BFS depth equals the inversion count
             assert rs.element_from_matrix(w.matrix).length == w.length
@@ -266,9 +264,11 @@ def test_rho_shift_examples(a1, a2):
 def test_rho_shift_agrees_with_matrix_action(token):
     # oracle: rho - w*rho is the sum of the positive roots sent negative by w^-1
     rs = parse_type(token)
-    for w in enumerate_weyl_group(rs):
+    group = list(enumerate_weyl_group(rs))
+    identity = rs.identity_element()
+    for w in group:
         via_action = rho_shift(w, rs)
-        winv = rs.inverse(w)
+        winv = next(u for u in group if rs.compose(u, w) == identity)
         root_sum = [0] * rs.rank
         for alpha in rs.positive_roots:
             if not rs.is_positive_root(winv.act(alpha)):
