@@ -14,6 +14,7 @@ from .charring import (
     CharElement,
     divide_exact,
     half_denominator,
+    root_product,
     torus_integral,
     torus_pairing,
     weyl_act,

@@ -5,11 +5,12 @@ e^mu, stored as sparse dicts keyed by weight coordinate vectors. The
 normalized Haar integral of e^mu is the Kronecker delta at mu = 0, so every
 torus integral below is a constant-term extraction.
 
-Weights are packed into single ints only inside a product (the packed
-exponent vectors of Monagan and Pearce, CASC 2007): each coordinate is
-shifted to start at 0 and given a radix wide enough for the product's
-exact box, so packing is additive without carries and the pair loop adds
-ints instead of building tuples. Stored terms keep their tuple keys.
+Weights are packed into single ints only inside a product, in
+``CharElement.__mul__`` and in ``root_product`` (the packed exponent
+vectors of Monagan and Pearce, CASC 2007): each coordinate is shifted to
+start at 0 and given a radix wide enough for the product's exact box, so
+packing is additive without carries and the inner loops add ints instead
+of building tuples. Stored terms keep their tuple keys.
 """
 
 from __future__ import annotations
@@ -135,14 +136,7 @@ class CharElement:
             for kb, d in packed_large:
                 k = ka + kb
                 out[k] = get(k, 0) + c * d
-        keys = [k for k, c in out.items() if c]
-        coeffs = [c for c in out.values() if c]
-        digits = []
-        for r, base in zip(radices, lo):
-            digits.append([k % r + base for k in keys])
-            keys = [k // r for k in keys]
-        weights = zip(*digits) if digits else repeat((), len(coeffs))
-        res.terms = dict(zip(weights, coeffs))
+        res.terms = _unpack({k: c for k, c in out.items() if c}, radices, lo)
         return res
 
     __rmul__ = __mul__
@@ -213,13 +207,42 @@ class CharElement:
         return cls(int(data["rank"]), terms)
 
 
+def _unpack(packed: dict[int, int], radices, lo) -> dict[Weight, int]:
+    """Decode packed keys digit by digit (quotient and remainder by each
+    radix in turn) and shift digit j back by lo[j]."""
+    keys = list(packed)
+    digits = []
+    for r, base in zip(radices, lo):
+        digits.append([k % r + base for k in keys])
+        keys = [k // r for k in keys]
+    weights = zip(*digits) if digits else repeat((), len(packed))
+    return dict(zip(weights, packed.values()))
+
+
 def weyl_act(w: WeylElement, a: CharElement) -> CharElement:
-    """e^mu -> e^{w mu}, extended linearly; a ring automorphism."""
+    """e^mu -> e^{w mu}, extended linearly; a ring automorphism.
+
+    Coordinate i of every image at once is sum_j m_ij * (column j of the
+    weights of a): whole columns are added, negated or scaled with map(),
+    and zero entries of the matrix are skipped. Coefficients are kept in
+    the order of a's terms.
+    """
     if w.rank != a.rank:
         raise ValueError("rank mismatch between Weyl element and character")
+    terms = a.terms
+    cols = tuple(zip(*terms))
+    images = []
+    for row in w.matrix:
+        image = None
+        for m, col in zip(row, cols):
+            if not m:
+                continue
+            part = col if m == 1 else map(neg, col) if m == -1 else map(mul, col, repeat(m))
+            image = part if image is None else list(map(add, image, part))
+        images.append(repeat(0, len(terms)) if image is None else image)
     res = CharElement.__new__(CharElement)
     res.rank = a.rank
-    res.terms = {w.act(mu): c for mu, c in a.terms.items()}
+    res.terms = dict(zip(zip(*images), terms.values()))
     return res
 
 
@@ -238,20 +261,52 @@ def torus_pairing(a: CharElement, b: CharElement) -> int:
     return sum(map(mul, small.values(), map(large.get, small, repeat(0))))
 
 
+def root_product(roots, rank: int) -> CharElement:
+    """prod over the weights beta in roots of (1 - e^beta), in rank coordinates.
+
+    Every term of the product is e^{sum of a subset of roots}, so its
+    coordinate j lies in [lo_j, hi_j], lo_j the sum of the negative j-th
+    coordinates and hi_j the sum of the positive ones. With radix
+    r_j = hi_j - lo_j + 1 and place_j the product of the radices before j,
+    mu packs to sum_j (mu_j - lo_j) * place_j, and every partial product
+    stays inside the same box: adding the signed packed beta,
+    sum_j beta_j * place_j, to a packed term is the packed form of its
+    shift by beta, with no carry. Each factor is then one pass over an
+    int-keyed dict, and keys are decoded only at the end.
+    """
+    roots = [tuple(beta) for beta in roots]
+    if any(len(beta) != rank for beta in roots):
+        raise ValueError(f"a weight in the product does not have rank {rank}")
+    cols = tuple(zip(*roots)) or ((),) * rank
+    lo = [sum(x for x in col if x < 0) for col in cols]
+    radices = [sum(x for x in col if x > 0) - low + 1 for col, low in zip(cols, lo)]
+    places = tuple(accumulate(radices[:-1], mul, initial=1))
+    out = {-sum(map(mul, lo, places)): 1}
+    for kb in [sum(map(mul, beta, places)) for beta in roots]:
+        new = dict(out)
+        get = new.get
+        for k, c in out.items():
+            k += kb
+            v = get(k, 0) - c
+            if v:
+                new[k] = v
+            else:
+                del new[k]
+        out = new
+    res = CharElement.__new__(CharElement)
+    res.rank = rank
+    res.terms = _unpack(out, radices, lo)
+    return res
+
+
 def weyl_denominator_full(rs: RootSystem) -> CharElement:
     """D = prod over all roots of (1 - e^alpha)."""
-    out = CharElement.one(rs.rank)
-    for alpha in rs.full_roots:
-        out = out - out.shift(alpha)
-    return out
+    return root_product(rs.full_roots, rs.rank)
 
 
 def half_denominator(rs: RootSystem) -> CharElement:
     """prod over positive roots of (1 - e^alpha)."""
-    out = CharElement.one(rs.rank)
-    for alpha in rs.positive_roots:
-        out = out - out.shift(alpha)
-    return out
+    return root_product(rs.positive_roots, rs.rank)
 
 
 def divide_exact(p: CharElement, q: CharElement, rs: RootSystem) -> CharElement:

@@ -18,6 +18,7 @@ from math import comb, lcm
 from .charring import (
     CharElement,
     half_denominator,
+    root_product,
     torus_pairing,
     weyl_act,
     weyl_denominator_full,
@@ -221,12 +222,11 @@ def ext_abelian_graded(nu, d: int) -> list[int]:
 
 def check_denominator_symmetry(w: WeylElement, rs: RootSystem) -> bool:
     """prod_{alpha in wR+}(1-e^alpha) = eps(w) e^{w rho - rho} prod_{alpha in R+}(1-e^alpha),
-    verified by expanding both sides exactly."""
-    lhs = CharElement.one(rs.rank)
-    for alpha in rs.positive_roots:
-        lhs = lhs - lhs.shift(w.act(alpha))
+    verified by expanding both sides exactly; the left side is its own
+    expansion over w(R+), not derived from the right."""
+    lhs = root_product([w.act(alpha) for alpha in rs.positive_roots], rs.rank)
     shift = tuple(-x for x in rho_shift(w, rs))  # w*rho - rho
-    rhs = (half_denominator(rs) * w.sign).shift(shift)
+    rhs = half_denominator(rs).shift(shift, w.sign)
     return lhs == rhs
 
 
@@ -235,7 +235,7 @@ def check_antisym_i(xi: CharElement, w: WeylElement, ctx: PairContext) -> bool:
     if w not in ctx.w0:
         raise ValueError("element is not in the context's W0")
     shift = tuple(-x for x in rho_shift(w, ctx.rs))
-    return weyl_act(w, xi) == (xi * w.sign).shift(shift)
+    return weyl_act(w, xi) == xi.shift(shift, w.sign)
 
 
 def antisym_transport(xi_n: CharElement, w: WeylElement, ctx: PairContext) -> CharElement:
@@ -243,7 +243,7 @@ def antisym_transport(xi_n: CharElement, w: WeylElement, ctx: PairContext) -> Ch
     Xi_{n_w} = eps(w) * Xi_n * e^{w rho - rho}."""
     _check_rank(ctx, xi_n)
     shift = tuple(-x for x in rho_shift(w, ctx.rs))
-    return (xi_n * w.sign).shift(shift)
+    return xi_n.shift(shift, w.sign)
 
 
 def dual_class(xi: CharElement, ctx: PairContext) -> CharElement:

@@ -351,6 +351,9 @@ class RootSystem:
         return w
 
     def weyl_group(self, cap: int = DEFAULT_WEYL_CAP) -> WeylSubgroup:
+        """The full W, enumerated once and cached; the classical order is
+        checked against cap on every call, cached or not."""
+        _check_weyl_cap(self, cap)
         if self._weyl_group is None:
             self._weyl_group = enumerate_weyl_group(self, cap=cap)
         return self._weyl_group
@@ -403,28 +406,41 @@ def parse_type(token: str, max_rank: int = DEFAULT_MAX_RANK) -> RootSystem:
     return build_root_system(token[0], token[1:] or -1, max_rank=max_rank)
 
 
-def enumerate_weyl_group(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylSubgroup:
-    """Breadth-first closure of the simple reflections; the full W."""
-    predicted = classical_weyl_order(rs.series, rs.rank)
-    if predicted > cap:
+def _check_weyl_cap(rs: RootSystem, cap: int) -> None:
+    if rs.weyl_order > cap:
         raise CapExceededError(
-            f"group too large: |W({rs.series}{rs.rank})| = {predicted} exceeds cap {cap}"
+            f"group too large: |W({rs.series}{rs.rank})| = {rs.weyl_order} exceeds cap {cap}"
         )
-    gens = [rs._simple_reflection_matrices[i] for i in range(rs.rank)]
+
+
+def enumerate_weyl_group(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylSubgroup:
+    """Breadth-first closure of the simple reflections; the full W.
+
+    Right multiplication by s_i changes only column i of a matrix:
+    s_i = 1 - alpha_i e_i^T, so col_i(w s_i) = col_i(w) - w alpha_i, one
+    dot product per row instead of a full matrix product. The BFS depth at
+    which an element first appears is its length.
+    """
+    _check_weyl_cap(rs, cap)
+    predicted = rs.weyl_order
     identity = rs.identity_element()
     seen = {identity.matrix: identity}
-    frontier = [identity]
+    frontier = [identity.matrix]
     depth = 0
     while frontier:
         depth += 1
+        sign = (-1) ** depth
         new = []
-        for w in frontier:
-            for g in gens:
-                prod = _matmul(w.matrix, g)
+        for m in frontier:
+            for i, alpha in enumerate(rs.simple_roots):
+                prod = tuple([
+                    (*row[:i], row[i] - sum(map(mul, row, alpha)), *row[i + 1:]) for row in m
+                ])
                 if prod not in seen:
-                    elem = WeylElement(matrix=prod, length=depth, sign=(-1) ** depth)
-                    seen[prod] = elem
-                    new.append(elem)
+                    if len(seen) >= predicted:
+                        raise AssertionError(f"enumerated more than {predicted} Weyl elements")
+                    seen[prod] = WeylElement(matrix=prod, length=depth, sign=sign)
+                    new.append(prod)
         frontier = new
     if len(seen) != predicted:
         raise AssertionError(
@@ -435,22 +451,35 @@ def enumerate_weyl_group(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylSub
 
 
 def subgroup_from_generators(rs: RootSystem, generators, cap: int = DEFAULT_WEYL_CAP) -> WeylSubgroup:
-    """Close a generator list into a subgroup of W, validating as we go."""
+    """Close a generator list into a subgroup of W, validating as we go.
+
+    Every generator and every new element is certified once by
+    ``element_from_matrix``. A generator already in the closure of the
+    earlier ones is skipped; when one is not, the closure is taken again
+    from all elements seen so far under the generators kept. Each round
+    ends closed under right multiplication by the kept generators, which
+    in a finite group makes it the subgroup they generate.
+    """
     gens = [rs.element_from_matrix(g.matrix if isinstance(g, WeylElement) else g) for g in generators]
     identity = rs.identity_element()
     seen = {identity.matrix: identity}
-    frontier = [identity.matrix]
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in gens:
-                prod = _matmul(m, g.matrix)
-                if prod not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceededError(f"group too large: subgroup closure exceeds cap {cap}")
-                    seen[prod] = rs.element_from_matrix(prod)
-                    new.append(prod)
-        frontier = new
+    kept = []
+    for g in gens:
+        if g.matrix in seen:
+            continue
+        kept.append(g.matrix)
+        frontier = list(seen)
+        while frontier:
+            new = []
+            for m in frontier:
+                for k in kept:
+                    prod = _matmul(m, k)
+                    if prod not in seen:
+                        if len(seen) >= cap:
+                            raise CapExceededError(f"group too large: subgroup closure exceeds cap {cap}")
+                        seen[prod] = rs.element_from_matrix(prod)
+                        new.append(prod)
+            frontier = new
     elements = sorted(seen.values(), key=lambda w: (w.length, w.matrix))
     return WeylSubgroup(elements=tuple(elements))
 

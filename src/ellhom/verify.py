@@ -19,7 +19,7 @@ from .characters import (
     weyl_character,
     weyl_dimension,
 )
-from .charring import CharElement, half_denominator, torus_integral, weyl_denominator_full
+from .charring import CharElement, half_denominator, torus_integral, weyl_act, weyl_denominator_full
 from .koszul import (
     DEFAULT_DIM_CAP,
     euler_class,
@@ -186,7 +186,10 @@ def suite_weyldenom(cfg) -> list[dict]:
 
 def suite_antisym(cfg) -> list[dict]:
     """Euler-class equivariance under W0 and transport to n_w, the latter
-    against direct chain-complex recomputation."""
+    against direct chain-complex recomputation: the Euler class over w(R+)
+    must equal the transported one, and every degree of the homology over
+    w(R+) must equal w applied to that degree over R+ (an Euler class alone
+    cannot see a wrong rank)."""
     cases = []
     for token in cfg["types"] or RANK_LE_2:
         rs = parse_type(token)
@@ -209,12 +212,14 @@ def suite_antisym(cfg) -> list[dict]:
         bad_ii = 0
         checks = 0
         for lam in fam:
-            xi = euler_class(koszul_n_homology(lam, rs.positive_roots, rs, cap_dim=cfg["cap_dim"]))
+            base = koszul_n_homology(lam, rs.positive_roots, rs, cap_dim=cfg["cap_dim"])
+            xi = euler_class(base)
             for w in group:
                 nw = tuple(sorted(w.act(a) for a in rs.positive_roots))
-                direct = euler_class(koszul_n_homology(lam, nw, rs, cap_dim=cfg["cap_dim"]))
+                direct = koszul_n_homology(lam, nw, rs, cap_dim=cfg["cap_dim"])
                 checks += 1
-                if direct != antisym_transport(xi, w, ctx):
+                moved = tuple(weyl_act(w, b) for b in base.classes)
+                if euler_class(direct) != antisym_transport(xi, w, ctx) or direct.classes != moved:
                     bad_ii += 1
         cases.append(
             _case(f"antisym(ii) {token}", f"{token}, {checks} (class, w) recomputations", "0 failures", f"{bad_ii} failures")

@@ -5,6 +5,7 @@ subset-sum oracle (itertools over the factors), not the ring's own
 multiplication.
 """
 
+import random
 from itertools import product
 
 import pytest
@@ -15,6 +16,8 @@ from ellhom import (
     divide_exact,
     enumerate_weyl_group,
     half_denominator,
+    parse_type,
+    root_product,
     torus_integral,
     torus_pairing,
     weyl_act,
@@ -329,3 +332,82 @@ def test_product_cancellation(alpha):
     assert prod.terms == {(0,) * rank: 1, two_alpha: -1}
     assert (one - e) * CharElement.zero(rank) == CharElement.zero(rank)
     assert e * e.conjugate() == one
+
+
+def naive_root_product(roots, rank):
+    """prod (1 - e^beta) one factor at a time with tuple-keyed ring operations."""
+    out = CharElement.one(rank)
+    for beta in roots:
+        out = out - out.shift(beta)
+    return out
+
+
+@st.composite
+def root_lists(draw):
+    """A rank 1-4 and up to 8 weights drawn partly from a small pool, so
+    factors repeat, come with their negatives and cancel terms."""
+    rank = draw(st.integers(1, 4))
+    pool = draw(st.lists(weights(rank, 3), min_size=1, max_size=3))
+    pool += [tuple(-x for x in beta) for beta in pool]
+    roots = draw(st.lists(st.sampled_from(pool) | weights(rank, 3), max_size=8))
+    return rank, roots
+
+
+@given(case=root_lists())
+@settings(max_examples=300, deadline=None)
+def test_root_product_against_naive_loop(case):
+    rank, roots = case
+    prod = root_product(roots, rank)
+    assert prod.rank == rank
+    assert prod.terms == naive_root_product(roots, rank).terms
+    assert all(prod.terms.values())
+
+
+def test_root_product_examples():
+    assert root_product([], 3) == CharElement.one(3)
+    beta = (2, -1)
+    two_beta = (4, -2)
+    one = CharElement.one(2)
+    # repeated factor: (1 - e^b)^2 = 1 - 2 e^b + e^{2b}
+    assert root_product([beta, beta], 2) == CharElement(2, {(0, 0): 1, beta: -2, two_beta: 1})
+    # a factor with its negative: the e^0 terms add, nothing else cancels
+    assert root_product([beta, (-2, 1)], 2) == CharElement(2, {(0, 0): 2, beta: -1, (-2, 1): -1})
+    # a zero weight makes the whole product vanish
+    assert root_product([beta, (0, 0), two_beta], 2).is_zero()
+    # wide coordinates of both signs
+    far = (10**6, -10**6, 7)
+    assert root_product([far, (-1, 0, 3)], 3) == naive_root_product([far, (-1, 0, 3)], 3)
+    assert root_product([(1, 1)], 2) == one - CharElement.monomial((1, 1))
+    with pytest.raises(ValueError, match="does not have rank 2"):
+        root_product([(1, 0), (1, 0, 0)], 2)
+
+
+def act_term_by_term(w, a):
+    return {w.act(mu): c for mu, c in a.terms.items()}
+
+
+@pytest.mark.parametrize("token", ["A1", "A2", "B2", "G2", "B3"])
+def test_weyl_act_against_per_weight_action(token):
+    # B2, G2 and B3 have matrix entries +-2 and +-3 as well as 0 and +-1
+    rs = parse_type(token)
+    rng = random.Random(token)
+    elements = [CharElement.zero(rs.rank), half_denominator(rs)]
+    for _ in range(4):
+        terms = {tuple(rng.randint(-5, 5) for _ in range(rs.rank)): rng.randint(-9, 9) for _ in range(12)}
+        elements.append(CharElement(rs.rank, terms))
+    for w in rs.weyl_group():
+        for a in elements:
+            moved = weyl_act(w, a)
+            assert moved.rank == a.rank
+            assert moved.terms == act_term_by_term(w, a)
+    other = parse_type("B3" if rs.rank != 3 else "A2")
+    with pytest.raises(ValueError, match="rank mismatch"):
+        weyl_act(other.identity_element(), elements[-1])
+
+
+@given(a=char_elements(3), index=st.integers(0, 47))
+@settings(max_examples=100, deadline=None)
+def test_weyl_act_random_elements(a, index):
+    rs = parse_type("C3")
+    w = rs.weyl_group().elements[index]
+    assert weyl_act(w, a).terms == act_term_by_term(w, a)

@@ -175,6 +175,21 @@ def test_osborne_suite_fails_on_a_wrong_rank(monkeypatch):
     assert report["summary"]["failed"] == 1
 
 
+def test_antisym_suite_fails_on_a_wrong_rank(monkeypatch):
+    # the first block rank is one of the R+ complexes that every w(R+)
+    # recomputation is compared against, degree by degree
+    from ellhom import verify
+
+    fired = _plant_rank_fault(monkeypatch)
+    cfg = dict(verify.default_config(), types=["A2"], bound=1)
+    report = verify.run_suite("antisym", cfg)
+    assert fired
+    actual = {c["name"]: c["actual"] for c in report["cases"]}
+    assert actual["antisym(i) A2"] == "0 failures"
+    assert actual["antisym(ii) A2"] != "0 failures"
+    assert report["summary"]["failed"] == 1
+
+
 def test_graded_homology_serialization(a1):
     gh = koszul_n_homology((1,), a1.positive_roots, a1)
     data = gh.to_dict()

@@ -47,8 +47,9 @@ def oracle_root_count(series, rank):
     return len(roots)
 
 
-def oracle_weyl_order(series, rank):
-    """Breadth-first closure of reflection matrices, counted by set size."""
+def oracle_weyl_elements(series, rank):
+    """Breadth-first closure of reflection matrices by full matrix products:
+    each matrix mapped to the depth at which it first appears."""
     c = cartan_matrix(series, rank)
 
     def refl(i):
@@ -65,18 +66,20 @@ def oracle_weyl_order(series, rank):
 
     gens = [refl(i) for i in range(rank)]
     identity = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
-    seen = {identity}
+    seen = {identity: 0}
     frontier = [identity]
+    depth = 0
     while frontier:
+        depth += 1
         new = []
         for m in frontier:
             for g in gens:
                 p = matmul(m, g)
                 if p not in seen:
-                    seen.add(p)
+                    seen[p] = depth
                     new.append(p)
         frontier = new
-    return len(seen)
+    return seen
 
 
 def oracle_det(matrix):
@@ -212,15 +215,22 @@ def test_json_dump_matches_interface(a2):
     }
 
 
-@pytest.mark.parametrize(
-    "series,rank",
-    [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 3), ("G", 2)],
-)
+RANK_LE_4 = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4), ("F", 4), ("G", 2),
+]
+
+
+@pytest.mark.parametrize("series,rank", RANK_LE_4)
 def test_weyl_enumeration_against_closure_oracle(series, rank):
     rs = build_root_system(series, rank)
     group = enumerate_weyl_group(rs)
-    assert group.order == oracle_weyl_order(series, rank)
-    assert group.order == classical_weyl_order(series, rank)
+    depths = oracle_weyl_elements(series, rank)
+    assert group.order == len(depths) == classical_weyl_order(series, rank)
+    assert {w.matrix: (w.length, w.sign) for w in group} == {
+        m: (d, (-1) ** d) for m, d in depths.items()
+    }
+    assert [w.matrix for w in group] == sorted(depths, key=lambda m: (depths[m], m))
 
 
 def test_weyl_cap_is_enforced(b2):
@@ -287,6 +297,38 @@ def test_subgroup_from_generators(a2):
     assert trivial_subgroup(a2).order == 1
     with pytest.raises(ValueError, match="permute"):
         a2.element_from_matrix(((1, 1), (0, 1)))
+
+
+def test_subgroup_closure_with_redundant_generators():
+    rs = build_root_system("A", 3)
+    simple = [rs.simple_reflection(i) for i in range(3)]
+    expected = [(w.matrix, w.length, w.sign) for w in subgroup_from_generators(rs, simple)]
+    assert len(expected) == 24
+    group = list(rs.weyl_group())
+    for gens in (
+        group,
+        simple + simple[::-1] + simple,
+        [rs.identity_element()] + simple,
+        [simple[0], simple[0], rs.identity_element(), simple[2], simple[1]],
+    ):
+        sub = subgroup_from_generators(rs, gens)
+        assert [(w.matrix, w.length, w.sign) for w in sub] == expected
+    # a proper subgroup reached through a redundant product
+    s0s1 = rs.compose(simple[0], simple[1])
+    assert subgroup_from_generators(rs, [s0s1, simple[0], simple[1], s0s1]).order == 6
+    assert subgroup_from_generators(rs, [rs.identity_element()]).order == 1
+    for gens in (group, simple, [rs.identity_element()] + simple):
+        with pytest.raises(CapExceededError, match="exceeds cap 23"):
+            subgroup_from_generators(rs, gens, cap=23)
+    assert subgroup_from_generators(rs, simple, cap=24).order == 24
+
+
+def test_weyl_group_cap_holds_once_cached():
+    rs = build_root_system("B", 3)
+    assert rs.weyl_group().order == 48
+    with pytest.raises(CapExceededError, match="exceeds cap 10"):
+        rs.weyl_group(cap=10)
+    assert rs.weyl_group(cap=48).order == 48
 
 
 def test_subgroup_membership_is_by_matrix(a2):
