@@ -22,14 +22,12 @@ class InternalConsistencyError(RuntimeError):
     """An identity that must hold for valid inputs failed; signals a bug."""
 
 
-def is_dominant(lam: Weight) -> bool:
-    return all(x >= 0 for x in lam)
-
-
-def _require_dominant(lam: Weight, rs: RootSystem):
+def require_dominant(lam: Weight, rs: RootSystem) -> None:
+    """The one check that a highest weight has rank rs.rank and is
+    dominant; ValueError otherwise."""
     if len(lam) != rs.rank:
         raise ValueError(f"weight {lam} does not have rank {rs.rank}")
-    if not is_dominant(lam):
+    if any(x < 0 for x in lam):
         raise ValueError(f"weight {lam} is not dominant")
 
 
@@ -54,7 +52,7 @@ def weight_system(lam: Weight, rs: RootSystem) -> dict[Weight, Weight]:
     candidate is decided by whether lam minus its dominant representative
     lies in the nonnegative root lattice.
     """
-    _require_dominant(lam, rs)
+    require_dominant(lam, rs)
     lam = tuple(lam)
     found = {lam: lam}
     frontier = [lam]
@@ -131,7 +129,7 @@ def freudenthal_character(lam: Weight, rs: RootSystem) -> CharElement:
 
 def weyl_dimension(lam: Weight, rs: RootSystem) -> int:
     """Weyl dimension formula, prod (lam+rho, alpha) / (rho, alpha)."""
-    _require_dominant(lam, rs)
+    require_dominant(lam, rs)
     lam_rho = tuple(l + 1 for l in lam)
     value = Fraction(1)
     for alpha in rs.positive_roots:
@@ -145,7 +143,7 @@ def weyl_character(lam: Weight, rs: RootSystem) -> CharElement:
     """Character by the Weyl formula: the alternating numerator
     sum_w eps(w) e^{w(lam+rho)-rho} divided exactly by
     prod_{alpha>0} (1 - e^{-alpha})."""
-    _require_dominant(lam, rs)
+    require_dominant(lam, rs)
     lam_rho = tuple(l + 1 for l in lam)
     rho = rs.rho
     numerator_terms: dict[Weight, int] = {}

@@ -46,6 +46,16 @@ class CharElement:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
+    def _of(cls, rank: int, terms: dict[Weight, int]) -> "CharElement":
+        """The trusted constructor for ring-arithmetic results: wraps terms
+        without validating them. The caller guarantees what ``__init__``
+        checks, tuple keys of length rank and nonzero int coefficients;
+        input from outside the program goes through ``__init__``."""
+        res = CharElement.__new__(cls)
+        res.rank, res.terms = rank, terms
+        return res
+
+    @classmethod
     def zero(cls, rank: int) -> "CharElement":
         return cls(rank)
 
@@ -74,15 +84,10 @@ class CharElement:
                 out[mu] = v
             else:
                 out.pop(mu, None)
-        res = CharElement.__new__(CharElement)
-        res.rank, res.terms = self.rank, out
-        return res
+        return CharElement._of(self.rank, out)
 
     def __neg__(self) -> "CharElement":
-        res = CharElement.__new__(CharElement)
-        res.rank = self.rank
-        res.terms = {mu: -c for mu, c in self.terms.items()}
-        return res
+        return CharElement._of(self.rank, {mu: -c for mu, c in self.terms.items()})
 
     def __sub__(self, other: "CharElement") -> "CharElement":
         if not isinstance(other, CharElement):
@@ -105,21 +110,15 @@ class CharElement:
         if isinstance(other, int):
             if other == 0:
                 return CharElement.zero(self.rank)
-            res = CharElement.__new__(CharElement)
-            res.rank = self.rank
-            res.terms = {mu: c * other for mu, c in self.terms.items()}
-            return res
+            return CharElement._of(self.rank, {mu: c * other for mu, c in self.terms.items()})
         if not isinstance(other, CharElement):
             return NotImplemented
         self._check_rank(other)
         small, large = (self.terms, other.terms)
         if len(small) > len(large):
             small, large = large, small
-        res = CharElement.__new__(CharElement)
-        res.rank = self.rank
         if not small:
-            res.terms = {}
-            return res
+            return CharElement.zero(self.rank)
         cols_s, cols_l = tuple(zip(*small)), tuple(zip(*large))
         lo_s, lo_l = tuple(map(min, cols_s)), tuple(map(min, cols_l))
         lo = tuple(map(add, lo_s, lo_l))
@@ -136,26 +135,25 @@ class CharElement:
             for kb, d in packed_large:
                 k = ka + kb
                 out[k] = get(k, 0) + c * d
-        res.terms = _unpack({k: c for k, c in out.items() if c}, radices, lo)
-        return res
+        return CharElement._of(self.rank, _unpack({k: c for k, c in out.items() if c}, radices, lo))
 
     __rmul__ = __mul__
 
     def shift(self, mu: Weight, coeff: int = 1) -> "CharElement":
         """Multiplication by coeff * e^mu."""
+        if len(mu) != self.rank:
+            raise ValueError(f"weight {mu} does not have rank {self.rank}")
+        if type(coeff) is not int:
+            raise ValueError(f"coefficient {coeff!r} is not an int")
         if coeff == 0:
             return CharElement.zero(self.rank)
-        res = CharElement.__new__(CharElement)
-        res.rank = self.rank
-        res.terms = {tuple(map(add, nu, mu)): c * coeff for nu, c in self.terms.items()}
-        return res
+        return CharElement._of(
+            self.rank, {tuple(map(add, nu, mu)): c * coeff for nu, c in self.terms.items()}
+        )
 
     def conjugate(self) -> "CharElement":
         """Complex conjugation on the compact torus: e^mu -> e^-mu."""
-        res = CharElement.__new__(CharElement)
-        res.rank = self.rank
-        res.terms = {tuple(map(neg, mu)): c for mu, c in self.terms.items()}
-        return res
+        return CharElement._of(self.rank, {tuple(map(neg, mu)): c for mu, c in self.terms.items()})
 
     # -- queries ---------------------------------------------------------------
 
@@ -240,10 +238,7 @@ def weyl_act(w: WeylElement, a: CharElement) -> CharElement:
             part = col if m == 1 else map(neg, col) if m == -1 else map(mul, col, repeat(m))
             image = part if image is None else list(map(add, image, part))
         images.append(repeat(0, len(terms)) if image is None else image)
-    res = CharElement.__new__(CharElement)
-    res.rank = a.rank
-    res.terms = dict(zip(zip(*images), terms.values()))
-    return res
+    return CharElement._of(a.rank, dict(zip(zip(*images), terms.values())))
 
 
 def torus_integral(a: CharElement) -> int:
@@ -293,10 +288,7 @@ def root_product(roots, rank: int) -> CharElement:
             else:
                 del new[k]
         out = new
-    res = CharElement.__new__(CharElement)
-    res.rank = rank
-    res.terms = _unpack(out, radices, lo)
-    return res
+    return CharElement._of(rank, _unpack(out, radices, lo))
 
 
 def weyl_denominator_full(rs: RootSystem) -> CharElement:
@@ -382,4 +374,4 @@ def divide_exact(p: CharElement, q: CharElement, rs: RootSystem) -> CharElement:
                 del rem[k]
             else:
                 rem[k] = v - c * d
-    return CharElement(p.rank, quot)
+    return CharElement._of(p.rank, quot)

@@ -41,8 +41,8 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
 
 def _resolve_type(args) -> "RootSystem":
     if getattr(args, "rank", None) is not None:
-        return build_root_system(args.type, args.rank, max_rank=args.cap_rank)
-    return parse_type(args.type, max_rank=args.cap_rank)
+        return build_root_system(args.type, args.rank)
+    return parse_type(args.type)
 
 
 def _emit(payload: dict, args, table_lines=None) -> None:
@@ -232,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
         p.add_argument("--cap-weyl", type=int, default=verify.DEFAULT_WEYL_CAP, dest="cap_weyl")
         p.add_argument("--cap-dim", type=int, default=verify.DEFAULT_DIM_CAP, dest="cap_dim")
-        p.add_argument("--cap-rank", type=int, default=8, dest="cap_rank")
 
     p = sub.add_parser("rootsys", help="dump a root system")
     p.add_argument("--type", required=True, help="series letter (with --rank) or combined token like A2")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .characters import weyl_dimension
+from .characters import require_dominant, weyl_dimension
 from .linalg import fraction_rref
 from .rootsystem import RootSystem, Weight
 
@@ -63,8 +63,7 @@ class HighestWeightModule:
     """The irreducible module V_lam on an explicit numbered weight basis."""
 
     def __init__(self, rs: RootSystem, lam: Weight):
-        if len(lam) != rs.rank or any(x < 0 for x in lam):
-            raise ValueError(f"highest weight {lam} must be dominant of rank {rs.rank}")
+        require_dominant(lam, rs)
         self.rs = rs
         self.lam = tuple(lam)
         self.spaces: dict[Weight, range] = {}

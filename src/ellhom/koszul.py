@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .characters import weyl_dimension
+from .characters import require_dominant, weyl_dimension
 from .charring import CharElement
 from .hwmodule import module_for, structure_constants
 from .linalg import sparse_int_rank
@@ -260,9 +260,7 @@ def kostant_homology(lam: Weight, rs: RootSystem) -> GradedHomology:
     e^{w(lam+rho)+rho}, for the standard positive system. Validated against
     koszul_n_homology by the test suite; used where the chain complex would
     blow the dimension cap."""
-    lam = tuple(lam)
-    if len(lam) != rs.rank or any(x < 0 for x in lam):
-        raise ValueError(f"weight {lam} must be dominant of rank {rs.rank}")
+    require_dominant(lam, rs)
     lam_rho = tuple(x + 1 for x in lam)
     n = len(rs.positive_roots)
     degrees: list[dict[Weight, int]] = [dict() for _ in range(n + 1)]

@@ -220,30 +220,33 @@ def ext_abelian_graded(nu, d: int) -> list[int]:
     return [comb(d, p) - ranks[p + 1] - ranks[p] for p in range(d + 1)]
 
 
+def _twist(x: CharElement, w: WeylElement, rs: RootSystem) -> CharElement:
+    """eps(w) * e^{w rho - rho} * x: the right side of the denominator
+    symmetry, of Euler-class antisymmetry and of transport to n_w. The
+    exponent w rho - rho is ``rho_shift`` (rho - w rho) negated."""
+    return x.shift(tuple(-c for c in rho_shift(w, rs)), w.sign)
+
+
 def check_denominator_symmetry(w: WeylElement, rs: RootSystem) -> bool:
     """prod_{alpha in wR+}(1-e^alpha) = eps(w) e^{w rho - rho} prod_{alpha in R+}(1-e^alpha),
     verified by expanding both sides exactly; the left side is its own
     expansion over w(R+), not derived from the right."""
     lhs = root_product([w.act(alpha) for alpha in rs.positive_roots], rs.rank)
-    shift = tuple(-x for x in rho_shift(w, rs))  # w*rho - rho
-    rhs = half_denominator(rs).shift(shift, w.sign)
-    return lhs == rhs
+    return lhs == _twist(half_denominator(rs), w, rs)
 
 
 def check_antisym_i(xi: CharElement, w: WeylElement, ctx: PairContext) -> bool:
     """w(Xi) = eps(w) * Xi * e^{w rho - rho} for w in W0, checked exactly."""
     if w not in ctx.w0:
         raise ValueError("element is not in the context's W0")
-    shift = tuple(-x for x in rho_shift(w, ctx.rs))
-    return weyl_act(w, xi) == xi.shift(shift, w.sign)
+    return weyl_act(w, xi) == _twist(xi, w, ctx.rs)
 
 
 def antisym_transport(xi_n: CharElement, w: WeylElement, ctx: PairContext) -> CharElement:
     """Euler class with respect to n_w = w(R+) obtained from the one for n:
     Xi_{n_w} = eps(w) * Xi_n * e^{w rho - rho}."""
     _check_rank(ctx, xi_n)
-    shift = tuple(-x for x in rho_shift(w, ctx.rs))
-    return xi_n.shift(shift, w.sign)
+    return _twist(xi_n, w, ctx.rs)
 
 
 def dual_class(xi: CharElement, ctx: PairContext) -> CharElement:

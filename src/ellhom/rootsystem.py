@@ -23,10 +23,10 @@ DEFAULT_MAX_RANK = 8
 DEFAULT_WEYL_CAP = 10**6
 
 VALID_RANKS = {
-    "A": (1, None),
-    "B": (2, None),
-    "C": (2, None),
-    "D": (3, None),
+    "A": (1, DEFAULT_MAX_RANK),
+    "B": (2, DEFAULT_MAX_RANK),
+    "C": (2, DEFAULT_MAX_RANK),
+    "D": (3, DEFAULT_MAX_RANK),
     "E": (6, 8),
     "F": (4, 4),
     "G": (2, 2),
@@ -41,11 +41,10 @@ class CapExceededError(RuntimeError):
     """Raised when a configured size cap would be exceeded."""
 
 
-def _valid_types_message(max_rank: int) -> str:
-    return (
-        f"valid ranks: A1..A{max_rank}, B2..B{max_rank}, C2..C{max_rank}, "
-        f"D3..D{max_rank}, E6..E8, F4, G2"
-    )
+_VALID_TYPES_MESSAGE = (
+    f"valid ranks: A1..A{DEFAULT_MAX_RANK}, B2..B{DEFAULT_MAX_RANK}, "
+    f"C2..C{DEFAULT_MAX_RANK}, D3..D{DEFAULT_MAX_RANK}, E6..E8, F4, G2"
+)
 
 
 def cartan_matrix(series: str, rank: int) -> tuple[tuple[int, ...], ...]:
@@ -294,9 +293,6 @@ class RootSystem:
             sum(map(mul, map(mul, self.symmetrizer, lam), x)), self.coord_scale
         )
 
-    def is_root(self, mu: Weight) -> bool:
-        return mu in self._full_set
-
     def is_positive_root(self, mu: Weight) -> bool:
         return mu in self._positive_set
 
@@ -378,7 +374,7 @@ def _cached_root_system(series: str, rank: int) -> RootSystem:
     return RootSystem(series, rank)
 
 
-def build_root_system(series: str, rank: int, max_rank: int = DEFAULT_MAX_RANK) -> RootSystem:
+def build_root_system(series: str, rank: int) -> RootSystem:
     """Construct the root system of the given type, or reject it."""
     series = str(series).upper()
     try:
@@ -386,24 +382,17 @@ def build_root_system(series: str, rank: int, max_rank: int = DEFAULT_MAX_RANK) 
     except (TypeError, ValueError):
         raise UnsupportedTypeError(f"unsupported type/rank: {series}{rank}; rank must be an integer") from None
     lo_hi = VALID_RANKS.get(series)
-    if lo_hi is None:
-        raise UnsupportedTypeError(
-            f"unsupported type/rank: {series}{rank}; {_valid_types_message(max_rank)}"
-        )
-    lo, hi = lo_hi
-    if rank < lo or rank > (hi if hi is not None else max_rank) or rank > max_rank:
-        raise UnsupportedTypeError(
-            f"unsupported type/rank: {series}{rank}; {_valid_types_message(max_rank)}"
-        )
+    if lo_hi is None or not lo_hi[0] <= rank <= lo_hi[1]:
+        raise UnsupportedTypeError(f"unsupported type/rank: {series}{rank}; {_VALID_TYPES_MESSAGE}")
     return _cached_root_system(series, rank)
 
 
-def parse_type(token: str, max_rank: int = DEFAULT_MAX_RANK) -> RootSystem:
+def parse_type(token: str) -> RootSystem:
     """Parse a combined type token like 'A2' or 'G2'."""
     token = token.strip()
     if not token or not token[0].isalpha():
-        raise UnsupportedTypeError(f"unsupported type/rank: {token!r}; {_valid_types_message(max_rank)}")
-    return build_root_system(token[0], token[1:] or -1, max_rank=max_rank)
+        raise UnsupportedTypeError(f"unsupported type/rank: {token!r}; {_VALID_TYPES_MESSAGE}")
+    return build_root_system(token[0], token[1:] or -1)
 
 
 def _check_weyl_cap(rs: RootSystem, cap: int) -> None:
@@ -453,21 +442,32 @@ def enumerate_weyl_group(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylSub
 def subgroup_from_generators(rs: RootSystem, generators, cap: int = DEFAULT_WEYL_CAP) -> WeylSubgroup:
     """Close a generator list into a subgroup of W, validating as we go.
 
-    Every generator and every new element is certified once by
-    ``element_from_matrix``. A generator already in the closure of the
-    earlier ones is skipped; when one is not, the closure is taken again
-    from all elements seen so far under the generators kept. Each round
-    ends closed under right multiplication by the kept generators, which
-    in a finite group makes it the subgroup they generate.
+    Every element other than the identity is certified exactly once by
+    ``element_from_matrix``, and the cap is checked before each insert. A
+    generator, taken as an integer matrix, that is already in the closure
+    of the earlier ones is skipped; any other is certified, inserted, and
+    the closure is taken again from all elements seen so far under the
+    generators kept. Each round ends closed under right multiplication by
+    the kept generators, which in a finite group makes it the subgroup they
+    generate.
     """
-    gens = [rs.element_from_matrix(g.matrix if isinstance(g, WeylElement) else g) for g in generators]
     identity = rs.identity_element()
     seen = {identity.matrix: identity}
     kept = []
-    for g in gens:
-        if g.matrix in seen:
+
+    def insert(matrix):
+        element = rs.element_from_matrix(matrix)
+        if len(seen) >= cap:
+            raise CapExceededError(f"group too large: subgroup closure exceeds cap {cap}")
+        seen[matrix] = element
+
+    for g in generators:
+        rows = g.matrix if isinstance(g, WeylElement) else g
+        g = tuple(tuple(int(v) for v in row) for row in rows)
+        if g in seen:
             continue
-        kept.append(g.matrix)
+        insert(g)
+        kept.append(g)
         frontier = list(seen)
         while frontier:
             new = []
@@ -475,9 +475,7 @@ def subgroup_from_generators(rs: RootSystem, generators, cap: int = DEFAULT_WEYL
                 for k in kept:
                     prod = _matmul(m, k)
                     if prod not in seen:
-                        if len(seen) >= cap:
-                            raise CapExceededError(f"group too large: subgroup closure exceeds cap {cap}")
-                        seen[prod] = rs.element_from_matrix(prod)
+                        insert(prod)
                         new.append(prod)
             frontier = new
     elements = sorted(seen.values(), key=lambda w: (w.length, w.matrix))

@@ -15,7 +15,6 @@ from .koszul import GradedHomology, euler_class, kostant_homology
 from .pairings import (
     PairContext,
     compact_context,
-    dual_class,
     split_rank_one_context,
     unequal_rank_context,
 )
@@ -96,8 +95,6 @@ def compact_irreducible(lam: Weight, ctx: PairContext) -> VirtualModule:
     lam = tuple(lam)
     if not (ctx.equal_rank and ctx.w0_is_full):
         raise ValueError("compact irreducibles need a compact context (W0 = W)")
-    if any(x < 0 for x in lam):
-        raise ValueError(f"weight {lam} is not dominant")
     homology = kostant_homology(lam, ctx.rs)
     return VirtualModule(
         label=f"irr{lam}",
@@ -126,11 +123,7 @@ def standard_module_class(datum: GeometricDatum) -> VirtualModule:
     for w in ctx.w0:
         shift = rho_shift(w, ctx.rs)  # rho - w rho
         mu = tuple(x + y for x, y in zip(w.act(datum.v_weight), shift))
-        c = terms.get(mu, 0) + sign * w.sign
-        if c:
-            terms[mu] = c
-        else:
-            terms.pop(mu, None)
+        terms[mu] = terms.get(mu, 0) + sign * w.sign
     return VirtualModule(
         label=f"std{datum.v_weight}",
         ctx=ctx,
@@ -161,24 +154,11 @@ def dual_standard_class(datum: GeometricDatum) -> VirtualModule:
         mu = tuple(
             -x + y for x, y in zip(w.act(datum.v_weight), rho_plus_wrho)
         )
-        c = terms.get(mu, 0) + sign * w.sign
-        if c:
-            terms[mu] = c
-        else:
-            terms.pop(mu, None)
+        terms[mu] = terms.get(mu, 0) + sign * w.sign
     return VirtualModule(
         label=f"dual-std{datum.v_weight}",
         ctx=ctx,
         euler=CharElement(rank, terms),
-        provenance="dual_of",
-    )
-
-
-def dual_module(vm: VirtualModule) -> VirtualModule:
-    return VirtualModule(
-        label=f"dual({vm.label})",
-        ctx=vm.ctx,
-        euler=dual_class(vm.euler, vm.ctx),
         provenance="dual_of",
     )
 

@@ -94,6 +94,20 @@ def test_shift_by_zero_coefficient_is_zero():
     assert x == CharElement.zero(2)
 
 
+def test_shift_rejects_a_wrong_rank_weight_and_a_non_int_coefficient():
+    from fractions import Fraction
+
+    one = CharElement.one(2)
+    assert CharElement.from_dict(one.shift((1, 2), -3).to_dict()) == CharElement(2, {(1, 2): -3})
+    for mu in ((1,), (1, 2, 3)):
+        for coeff in (1, 0):
+            with pytest.raises(ValueError, match="does not have rank 2"):
+                one.shift(mu, coeff)
+    for coeff in (Fraction(1, 2), 2.0):
+        with pytest.raises(ValueError, match="not an int"):
+            one.shift((1, 2), coeff)
+
+
 def test_conjugation_examples(a1):
     assert CharElement.one(1).conjugate() == CharElement.one(1)
     x = CharElement(2, {(1, 0): 2, (0, 1): -1})

@@ -323,6 +323,27 @@ def test_subgroup_closure_with_redundant_generators():
     assert subgroup_from_generators(rs, simple, cap=24).order == 24
 
 
+def test_subgroup_closure_certifies_each_element_once(monkeypatch):
+    # W(A4) from all 120 elements and from the 4 simple reflections: each
+    # of the 119 non-identity elements goes through element_from_matrix once
+    rs = build_root_system("A", 4)
+    group = list(rs.weyl_group())
+    certified = []
+    certify = rs.element_from_matrix
+
+    def counting(matrix):
+        certified.append(matrix)
+        return certify(matrix)
+
+    monkeypatch.setattr(rs, "element_from_matrix", counting)
+    expected = sorted(w.matrix for w in group if w.length)
+    for gens in (group, [rs.simple_reflection(i) for i in range(4)]):
+        certified.clear()
+        sub = subgroup_from_generators(rs, gens)
+        assert [w.matrix for w in sub] == [w.matrix for w in group]
+        assert sorted(certified) == expected
+
+
 def test_weyl_group_cap_holds_once_cached():
     rs = build_root_system("B", 3)
     assert rs.weyl_group().order == 48
