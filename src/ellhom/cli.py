@@ -1,9 +1,14 @@
 """Command-line front end: root-system dumps, characters, homology, pairing
 matrices over catalogs, and the verification suites of ``ellhom.verify``.
 
-Exit codes: 0 all good, 1 verification failure, 2 usage error. JSON reports
-are deterministic for a fixed config and seed (timing is opt-in so that
-byte-identical reruns stay byte-identical).
+Every subcommand takes ``--emit`` and ``--out``; each other flag is declared
+only on the subcommands that read it (``--seed`` on ``verify``, ``--cap-dim``
+on ``homology`` and ``verify``). The Weyl-group cap is the fixed
+``rootsystem.WEYL_CAP``.
+
+Exit codes: 0 all good, 1 verification failure, 2 usage error (including a
+cap hit), 3 internal error. JSON reports are deterministic for a fixed config
+and seed (timing is opt-in so that byte-identical reruns stay byte-identical).
 """
 
 from __future__ import annotations
@@ -13,15 +18,10 @@ import json
 import sys
 
 from . import verify
-from .characters import freudenthal_character, weyl_character
+from .characters import InternalConsistencyError, freudenthal_character, weyl_character
 from .koszul import euler_class, koszul_n_homology
 from .pairings import elliptic_pairing, homological_pairing, multiplicity_pairing
-from .rootsystem import (
-    CapExceededError,
-    UnsupportedTypeError,
-    build_root_system,
-    parse_type,
-)
+from .rootsystem import CapExceededError, build_root_system, parse_type
 from .zoo import Catalog, compact_catalog, sl2_catalog, unequal_rank_catalog
 
 
@@ -170,13 +170,12 @@ def cmd_verify(args) -> int:
         "trials": args.trials,
         "seed": args.seed,
         "suites": args.suite.split(",") if args.suite else list(verify.SUITES),
-        "cap_weyl": args.cap_weyl,
         "cap_dim": args.cap_dim,
         "timing": args.timing,
     }
     if args.config:
         _apply_config_file(cfg, args.config)
-    for key in ("cap_weyl", "cap_dim", "bound", "trials"):
+    for key in ("cap_dim", "bound", "trials"):
         if cfg[key] <= 0:
             raise UsageError(f"{key} must be positive, got {cfg[key]}")
     unknown = [s for s in cfg["suites"] if s not in verify.SUITE_RUNNERS]
@@ -211,7 +210,7 @@ def _apply_config_file(cfg, path):
                 cfg["types"] = [value]
             elif key == "suites":
                 cfg["suites"] = [s.strip() for s in value.split(",") if s.strip()]
-            elif key in ("bound", "trials", "seed", "cap_weyl", "cap_dim"):
+            elif key in ("bound", "trials", "seed", "cap_dim"):
                 cfg[key] = int(value)
             elif key == "timing":
                 cfg["timing"] = value.lower() in ("1", "true", "yes")
@@ -229,9 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--emit", choices=["json", "table"], default="json")
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-        p.add_argument("--cap-weyl", type=int, default=verify.DEFAULT_WEYL_CAP, dest="cap_weyl")
-        p.add_argument("--cap-dim", type=int, default=verify.DEFAULT_DIM_CAP, dest="cap_dim")
 
     p = sub.add_parser("rootsys", help="dump a root system")
     p.add_argument("--type", required=True, help="series letter (with --rank) or combined token like A2")
@@ -252,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--weight", required=True)
     p.add_argument("--word", default="", help="simple-reflection word picking the positive system w(R+)")
+    p.add_argument("--cap-dim", type=int, default=verify.DEFAULT_DIM_CAP, dest="cap_dim")
     common(p)
     p.set_defaults(func=cmd_homology)
 
@@ -273,6 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=verify.DEFAULT_TRIALS)
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--timing", action="store_true", help="include timing in reports")
+    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p.add_argument("--cap-dim", type=int, default=verify.DEFAULT_DIM_CAP, dest="cap_dim")
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -284,15 +283,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, UnsupportedTypeError, ValueError) as exc:
+    except (UsageError, ValueError, CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (InternalConsistencyError, AssertionError) as exc:
+        print(f"error: internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

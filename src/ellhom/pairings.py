@@ -120,13 +120,13 @@ def unequal_rank_context(rs: RootSystem) -> PairContext:
     )
 
 
-def custom_context(rs: RootSystem, generators, equal_rank: bool = True) -> PairContext:
-    """Context with W0 supplied as a generator list, closed and validated."""
+def custom_context(rs: RootSystem, generators) -> PairContext:
+    """Equal-rank context with W0 closed and validated from a generator list."""
     return PairContext(
         rs=rs,
         positive_system=rs.positive_roots,
         w0=subgroup_from_generators(rs, generators),
-        equal_rank=equal_rank,
+        equal_rank=True,
     )
 
 

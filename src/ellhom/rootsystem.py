@@ -20,7 +20,7 @@ from .linalg import fraction_rref
 Weight = tuple[int, ...]
 
 DEFAULT_MAX_RANK = 8
-DEFAULT_WEYL_CAP = 10**6
+WEYL_CAP = 10**6
 
 VALID_RANKS = {
     "A": (1, DEFAULT_MAX_RANK),
@@ -335,23 +335,24 @@ class RootSystem:
         return WeylElement(matrix=eye, length=0, sign=1)
 
     def simple_reflection(self, i: int) -> WeylElement:
+        if not 0 <= i < self.rank:
+            raise ValueError(f"simple reflection index {i} is not in 0..{self.rank - 1}")
         return WeylElement(matrix=self._simple_reflection_matrices[i], length=1, sign=-1)
 
     def compose(self, w1: WeylElement, w2: WeylElement) -> WeylElement:
         return self.element_from_matrix(_matmul(w1.matrix, w2.matrix))
 
     def from_word(self, word) -> WeylElement:
-        w = self.identity_element()
+        """The product s_{i_1} ... s_{i_k} of the simple reflections in word."""
+        matrix = self.identity_element().matrix
         for i in word:
-            w = self.compose(w, self.simple_reflection(i))
-        return w
+            matrix = _matmul(matrix, self.simple_reflection(i).matrix)
+        return self.element_from_matrix(matrix)
 
-    def weyl_group(self, cap: int = DEFAULT_WEYL_CAP) -> WeylSubgroup:
-        """The full W, enumerated once and cached; the classical order is
-        checked against cap on every call, cached or not."""
-        _check_weyl_cap(self, cap)
+    def weyl_group(self) -> WeylSubgroup:
+        """The full W, enumerated once and cached."""
         if self._weyl_group is None:
-            self._weyl_group = enumerate_weyl_group(self, cap=cap)
+            self._weyl_group = enumerate_weyl_group(self)
         return self._weyl_group
 
     # -- serialization ---------------------------------------------------------
@@ -395,23 +396,20 @@ def parse_type(token: str) -> RootSystem:
     return build_root_system(token[0], token[1:] or -1)
 
 
-def _check_weyl_cap(rs: RootSystem, cap: int) -> None:
-    if rs.weyl_order > cap:
-        raise CapExceededError(
-            f"group too large: |W({rs.series}{rs.rank})| = {rs.weyl_order} exceeds cap {cap}"
-        )
-
-
-def enumerate_weyl_group(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylSubgroup:
-    """Breadth-first closure of the simple reflections; the full W.
+def enumerate_weyl_group(rs: RootSystem) -> WeylSubgroup:
+    """Breadth-first closure of the simple reflections; the full W, or
+    CapExceededError before any work when its order exceeds WEYL_CAP.
 
     Right multiplication by s_i changes only column i of a matrix:
     s_i = 1 - alpha_i e_i^T, so col_i(w s_i) = col_i(w) - w alpha_i, one
     dot product per row instead of a full matrix product. The BFS depth at
     which an element first appears is its length.
     """
-    _check_weyl_cap(rs, cap)
     predicted = rs.weyl_order
+    if predicted > WEYL_CAP:
+        raise CapExceededError(
+            f"group too large: |W({rs.series}{rs.rank})| = {predicted} exceeds cap {WEYL_CAP}"
+        )
     identity = rs.identity_element()
     seen = {identity.matrix: identity}
     frontier = [identity.matrix]
@@ -439,11 +437,11 @@ def enumerate_weyl_group(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylSub
     return WeylSubgroup(elements=tuple(elements))
 
 
-def subgroup_from_generators(rs: RootSystem, generators, cap: int = DEFAULT_WEYL_CAP) -> WeylSubgroup:
+def subgroup_from_generators(rs: RootSystem, generators) -> WeylSubgroup:
     """Close a generator list into a subgroup of W, validating as we go.
 
     Every element other than the identity is certified exactly once by
-    ``element_from_matrix``, and the cap is checked before each insert. A
+    ``element_from_matrix``, and WEYL_CAP is checked before each insert. A
     generator, taken as an integer matrix, that is already in the closure
     of the earlier ones is skipped; any other is certified, inserted, and
     the closure is taken again from all elements seen so far under the
@@ -457,8 +455,8 @@ def subgroup_from_generators(rs: RootSystem, generators, cap: int = DEFAULT_WEYL
 
     def insert(matrix):
         element = rs.element_from_matrix(matrix)
-        if len(seen) >= cap:
-            raise CapExceededError(f"group too large: subgroup closure exceeds cap {cap}")
+        if len(seen) >= WEYL_CAP:
+            raise CapExceededError(f"group too large: subgroup closure exceeds cap {WEYL_CAP}")
         seen[matrix] = element
 
     for g in generators:

@@ -38,11 +38,10 @@ from .pairings import (
     homological_pairing,
 )
 from .rootsystem import (
-    DEFAULT_WEYL_CAP,
+    WEYL_CAP,
     CapExceededError,
     classical_weyl_order,
     dominant_box,
-    enumerate_weyl_group,
     parse_type,
 )
 from .zoo import (
@@ -175,7 +174,7 @@ def suite_weyldenom(cfg) -> list[dict]:
     cases = []
     for token in cfg["types"] or RANK_LE_3:
         rs = parse_type(token)
-        group = enumerate_weyl_group(rs, cap=cfg["cap_weyl"])
+        group = rs.weyl_group()
         bad = sum(0 if check_denominator_symmetry(w, rs) else 1 for w in group)
         cases.append(
             _case(f"weyldenom {token}", f"{token}, all {group.order} elements", "0 failures", f"{bad} failures")
@@ -329,7 +328,7 @@ def suite_oracles(cfg) -> list[dict]:
     bad_orders = []
     for token in ORDER_CHECK_TYPES:
         rs = parse_type(token)
-        if enumerate_weyl_group(rs, cap=cfg["cap_weyl"]).order != classical_weyl_order(rs.series, rs.rank):
+        if rs.weyl_group().order != classical_weyl_order(rs.series, rs.rank):
             bad_orders.append(token)
     cases.append(_case("oracles weyl orders", ", ".join(ORDER_CHECK_TYPES), "all match", "all match" if not bad_orders else f"off: {bad_orders}"))
     bad_ct = []
@@ -357,14 +356,13 @@ SUITES = tuple(SUITE_RUNNERS)
 
 def default_config() -> dict:
     """The config of a bare ``ellhom verify``: every suite on its default
-    types, bound, trials, seed and caps, without timing."""
+    types, bound, trials, seed and module-dimension cap, without timing."""
     return {
         "types": None,
         "bound": DEFAULT_BOUND,
         "trials": DEFAULT_TRIALS,
         "seed": DEFAULT_SEED,
         "suites": list(SUITES),
-        "cap_weyl": DEFAULT_WEYL_CAP,
         "cap_dim": DEFAULT_DIM_CAP,
         "timing": False,
     }
@@ -402,7 +400,7 @@ def summarize(cfg, reports: list[dict]) -> dict:
             "bound": cfg["bound"],
             "trials": cfg["trials"],
             "suites": list(cfg["suites"]),
-            "cap_weyl": cfg["cap_weyl"],
+            "cap_weyl": WEYL_CAP,
             "cap_dim": cfg["cap_dim"],
         },
         "seed": cfg["seed"],

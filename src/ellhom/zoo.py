@@ -197,15 +197,13 @@ def sl2_presets(weight_bound: int = 3) -> list[VirtualModule]:
     return modules
 
 
-def unequal_rank_stub(label: str, rs: RootSystem | None = None) -> VirtualModule:
-    """A class on an unequal-rank context; every pairing against it is zero
-    through the short-circuit, whatever its Euler data says."""
-    rs = rs or build_root_system("A", 1)
-    ctx = unequal_rank_context(rs)
+def unequal_rank_stub(label: str) -> VirtualModule:
+    """A class on an unequal-rank A1 context; every pairing against it is
+    zero through the short-circuit, whatever its Euler data says."""
     return VirtualModule(
         label=label,
-        ctx=ctx,
-        euler=CharElement.one(rs.rank),
+        ctx=unequal_rank_context(build_root_system("A", 1)),
+        euler=CharElement.one(1),
         provenance="external",
     )
 
@@ -267,6 +265,6 @@ def sl2_catalog(weight_bound: int = 3) -> Catalog:
     return Catalog(context=modules[0].ctx, modules=tuple(modules))
 
 
-def unequal_rank_catalog(rs: RootSystem | None = None, count: int = 3) -> Catalog:
-    modules = tuple(unequal_rank_stub(f"stub-{i}", rs) for i in range(count))
+def unequal_rank_catalog() -> Catalog:
+    modules = tuple(unequal_rank_stub(f"stub-{i}") for i in range(3))
     return Catalog(context=modules[0].ctx, modules=modules)

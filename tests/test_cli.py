@@ -1,5 +1,6 @@
 """The command-line surface: commands, emit formats, exit codes, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 from ellhom import InternalConsistencyError, verify
-from ellhom.cli import main
+from ellhom.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -88,6 +89,13 @@ def test_homology_command_with_word(capsys):
     assert main(["homology", "--type", "A1", "--weight", "1", "--word", "0"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["positive_system"] == [[-2]]
+
+
+def test_homology_word_letters_are_checked(capsys):
+    # a letter outside 0..rank-1 is a usage error, never an index or a wrap
+    for word in ("0,5", "-1"):
+        assert main(["homology", "--type", "A2", "--weight", "1,0", f"--word={word}"]) == 2
+        assert "simple reflection index" in capsys.readouterr().err
 
 
 def test_homology_complex_cap_exits_2(capsys):
@@ -178,8 +186,8 @@ def test_verify_unknown_suite_exits_2():
 
 
 def test_verify_cap_exceeded_is_reported_not_silent(capsys):
-    # a tiny Weyl cap makes the suite fail with an explicit skip marker
-    rc = main(["verify", "--suite", "weyldenom", "--type", "G2", "--cap-weyl", "5"])
+    # |W(E7)| is over the fixed Weyl cap: the suite fails with a skip marker
+    rc = main(["verify", "--suite", "weyldenom", "--type", "E7"])
     out = json.loads(capsys.readouterr().out)
     assert rc == 1
     case = out["reports"][0]["cases"][0]
@@ -243,6 +251,10 @@ def test_verify_config_file(tmp_path, capsys):
     assert out["seed"] == 99
     assert out["config"]["trials"] == 25
     assert out["config"]["types"] == ["A1"]
+    # the Weyl cap is fixed, so it is not a config key
+    cfg.write_text("cap_weyl = 5\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert "unknown config key 'cap_weyl'" in capsys.readouterr().err
 
 
 def test_verify_table_emit(capsys):
@@ -250,6 +262,54 @@ def test_verify_table_emit(capsys):
     text = capsys.readouterr().out
     assert "[PASS]" in text
     assert "suite abelian:" in text
+
+
+@pytest.mark.parametrize("error", [InternalConsistencyError, AssertionError])
+def test_internal_error_outside_verify_exits_3(monkeypatch, capsys, error):
+    def broken(lam, rs):
+        raise error("planted")
+
+    monkeypatch.setattr("ellhom.cli.weyl_character", broken)
+    assert main(["char", "--type", "A1", "--weight", "1", "--algorithm", "weyl"]) == 3
+    assert "error: internal error: planted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rootsys", "--type", "A2", "--seed", "7"],
+    ["char", "--type", "A2", "--weight", "1,0", "--cap-dim", "5"],
+    ["verify", "--suite", "abelian", "--cap-weyl", "5"],
+])
+def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_every_declared_flag_is_read():
+    # each subcommand once, on a Namespace that records every attribute read
+    runs = {
+        "rootsys": ["--type", "A1"],
+        "char": ["--type", "A1", "--weight", "1"],
+        "homology": ["--type", "A2", "--weight", "1,0", "--word", "0"],
+        "pairing": ["--preset", "compact", "--kind", "elliptic"],
+        "verify": ["--suite", "abelian"],
+    }
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(runs) == set(commands.choices)
+    for command, argv in runs.items():
+        args = parser.parse_args([command, *argv])
+        read = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                read.add(name)
+                return super().__getattribute__(name)
+
+        assert args.func(Recording(**vars(args))) == 0
+        declared = {a.dest for a in commands.choices[command]._actions} - {"help"}
+        assert declared <= read, (command, sorted(declared - read))
 
 
 def test_out_writes_file(tmp_path):

@@ -21,6 +21,7 @@ from ellhom import (
     subgroup_from_generators,
     trivial_subgroup,
 )
+from ellhom import rootsystem
 from ellhom.rootsystem import cartan_matrix, classical_weyl_order
 
 
@@ -233,9 +234,12 @@ def test_weyl_enumeration_against_closure_oracle(series, rank):
     assert [w.matrix for w in group] == sorted(depths, key=lambda m: (depths[m], m))
 
 
-def test_weyl_cap_is_enforced(b2):
+def test_weyl_cap_is_enforced():
+    # |W(E7)| = 2,903,040 > WEYL_CAP; the cap is checked before enumerating
+    e7 = parse_type("E7")
+    assert e7.weyl_order > rootsystem.WEYL_CAP
     with pytest.raises(CapExceededError, match="group too large"):
-        enumerate_weyl_group(b2, cap=7)
+        enumerate_weyl_group(e7)
 
 
 def test_lengths_signs_and_root_permutation(a2, b2):
@@ -256,6 +260,8 @@ def test_act_examples(a1, a2):
     assert s.act((1,)) == (-1,)
     longest = a2.compose(a2.compose(a2.simple_reflection(0), a2.simple_reflection(1)), a2.simple_reflection(0))
     assert longest.act((1, 1)) == (-1, -1)
+    assert a2.from_word([0, 1, 0]) == longest
+    assert a2.from_word([]) == a2.identity_element()
     with pytest.raises(ValueError, match="rank mismatch"):
         s.act((1, 0))
     # a short weight must not be truncated by the row products
@@ -299,7 +305,7 @@ def test_subgroup_from_generators(a2):
         a2.element_from_matrix(((1, 1), (0, 1)))
 
 
-def test_subgroup_closure_with_redundant_generators():
+def test_subgroup_closure_with_redundant_generators(monkeypatch):
     rs = build_root_system("A", 3)
     simple = [rs.simple_reflection(i) for i in range(3)]
     expected = [(w.matrix, w.length, w.sign) for w in subgroup_from_generators(rs, simple)]
@@ -317,10 +323,12 @@ def test_subgroup_closure_with_redundant_generators():
     s0s1 = rs.compose(simple[0], simple[1])
     assert subgroup_from_generators(rs, [s0s1, simple[0], simple[1], s0s1]).order == 6
     assert subgroup_from_generators(rs, [rs.identity_element()]).order == 1
+    monkeypatch.setattr(rootsystem, "WEYL_CAP", 23)
     for gens in (group, simple, [rs.identity_element()] + simple):
         with pytest.raises(CapExceededError, match="exceeds cap 23"):
-            subgroup_from_generators(rs, gens, cap=23)
-    assert subgroup_from_generators(rs, simple, cap=24).order == 24
+            subgroup_from_generators(rs, gens)
+    monkeypatch.setattr(rootsystem, "WEYL_CAP", 24)
+    assert subgroup_from_generators(rs, simple).order == 24
 
 
 def test_subgroup_closure_certifies_each_element_once(monkeypatch):
@@ -345,11 +353,19 @@ def test_subgroup_closure_certifies_each_element_once(monkeypatch):
 
 
 def test_weyl_group_cap_holds_once_cached():
-    rs = build_root_system("B", 3)
-    assert rs.weyl_group().order == 48
-    with pytest.raises(CapExceededError, match="exceeds cap 10"):
-        rs.weyl_group(cap=10)
-    assert rs.weyl_group(cap=48).order == 48
+    rs = parse_type("E7")
+    for _ in range(2):
+        with pytest.raises(CapExceededError, match="exceeds cap 1000000"):
+            rs.weyl_group()
+
+
+def test_simple_reflection_index_is_checked(a2):
+    # a negative index must not wrap around to s_{rank-1}
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match="simple reflection index"):
+            a2.simple_reflection(i)
+        with pytest.raises(ValueError, match="simple reflection index"):
+            a2.from_word([0, i])
 
 
 def test_subgroup_membership_is_by_matrix(a2):
