@@ -3,8 +3,9 @@ matrices over catalogs, and the verification suites of ``ellhom.verify``.
 
 Every subcommand takes ``--emit`` and ``--out``; each other flag is declared
 only on the subcommands that read it (``--seed`` on ``verify``, ``--cap-dim``
-on ``homology`` and ``verify``). The Weyl-group cap is the fixed
-``rootsystem.WEYL_CAP``.
+on ``homology`` and ``verify``), and ``pairing`` rejects ``--type``,
+``--rank`` and ``--bound`` with a catalog source that does not read them.
+The Weyl-group cap is the fixed ``rootsystem.WEYL_CAP``.
 
 Exit codes: 0 all good, 1 verification failure, 2 usage error (including a
 cap hit), 3 internal error. JSON reports are deterministic for a fixed config
@@ -39,10 +40,10 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
     return coords
 
 
-def _resolve_type(args) -> "RootSystem":
-    if getattr(args, "rank", None) is not None:
-        return build_root_system(args.type, args.rank)
-    return parse_type(args.type)
+def _resolve_type(token: str, rank: int | None) -> "RootSystem":
+    if rank is not None:
+        return build_root_system(token, rank)
+    return parse_type(token)
 
 
 def _emit(payload: dict, args, table_lines=None) -> None:
@@ -61,7 +62,7 @@ def _emit(payload: dict, args, table_lines=None) -> None:
 
 
 def cmd_rootsys(args) -> int:
-    rs = _resolve_type(args)
+    rs = _resolve_type(args.type, args.rank)
     payload = rs.to_dict()
     lines = [f"{rs.series}{rs.rank}: {len(rs.positive_roots)} positive roots, |W| = {rs.weyl_order}"]
     lines += [f"  {list(a)}" for a in rs.positive_roots]
@@ -70,7 +71,7 @@ def cmd_rootsys(args) -> int:
 
 
 def cmd_char(args) -> int:
-    rs = _resolve_type(args)
+    rs = _resolve_type(args.type, args.rank)
     lam = _parse_weight(args.weight, rs.rank)
     if args.algorithm in ("weyl", "both"):
         chi = weyl_character(lam, rs)
@@ -86,7 +87,7 @@ def cmd_char(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    rs = _resolve_type(args)
+    rs = _resolve_type(args.type, args.rank)
     lam = _parse_weight(args.weight, rs.rank)
     ps = rs.positive_roots
     if args.word:
@@ -101,18 +102,31 @@ def cmd_homology(args) -> int:
     return 0
 
 
+# the flags each catalog source reads; passing any other is a usage error
+PAIRING_SOURCE_FLAGS = {
+    "--catalog": (),
+    "--preset sl2": ("bound",),
+    "--preset compact": ("type", "rank", "bound"),
+    "--preset unequal-rank": (),
+}
+
+
 def cmd_pairing(args) -> int:
+    if not (args.catalog or args.preset):
+        raise UsageError("pairing needs --catalog FILE or --preset NAME")
+    source = "--catalog" if args.catalog else f"--preset {args.preset}"
+    for flag in ("type", "rank", "bound"):
+        if getattr(args, flag) is not None and flag not in PAIRING_SOURCE_FLAGS[source]:
+            raise UsageError(f"--{flag} does not apply to {source}")
+    bound = 3 if args.bound is None else args.bound
     if args.catalog:
         cat = Catalog.load(args.catalog)
     elif args.preset == "sl2":
-        cat = sl2_catalog(args.bound)
+        cat = sl2_catalog(bound)
     elif args.preset == "compact":
-        rs = _resolve_type(args)
-        cat = compact_catalog(rs, args.bound)
-    elif args.preset == "unequal-rank":
-        cat = unequal_rank_catalog()
+        cat = compact_catalog(_resolve_type(args.type or "A1", args.rank), bound)
     else:
-        raise UsageError("pairing needs --catalog FILE or --preset NAME")
+        cat = unequal_rank_catalog()
     if args.save_catalog:
         cat.save(args.save_catalog)
     ctx = cat.context
@@ -188,7 +202,7 @@ def cmd_verify(args) -> int:
             mark = "PASS" if case["pass"] else "FAIL"
             lines.append(f"[{mark}] {case['name']}: {case['actual']} ({case['inputs']})")
         summ = report["summary"]
-        timing = f" in {report.get('timing_ms', '?')} ms" if args.timing else ""
+        timing = f" in {report.get('timing_ms', '?')} ms" if cfg["timing"] else ""
         lines.append(f"suite {report['suite']}: {summ['passed']}/{summ['total']} passed{timing}")
     lines.append(
         f"total: {result['summary']['passed']}/{result['summary']['total']} passed"
@@ -213,7 +227,12 @@ def _apply_config_file(cfg, path):
             elif key in ("bound", "trials", "seed", "cap_dim"):
                 cfg[key] = int(value)
             elif key == "timing":
-                cfg["timing"] = value.lower() in ("1", "true", "yes")
+                flag = value.lower()
+                if flag not in ("1", "true", "yes", "0", "false", "no"):
+                    raise UsageError(
+                        f"timing must be 1, true, yes, 0, false or no, got {value!r}"
+                    )
+                cfg["timing"] = flag in ("1", "true", "yes")
             else:
                 raise UsageError(f"unknown config key {key!r}")
 
@@ -255,9 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pairing", help="pairing matrix over a catalog")
     p.add_argument("--catalog", default=None, help="catalog JSON file")
     p.add_argument("--preset", choices=["sl2", "compact", "unequal-rank"], default=None)
-    p.add_argument("--type", default="A1")
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--bound", type=int, default=3)
+    p.add_argument("--type", default=None, help="root system of --preset compact (default A1)")
+    p.add_argument("--rank", type=int, default=None, help="rank of --preset compact")
+    p.add_argument("--bound", type=int, default=None,
+                   help="weight bound of --preset sl2 and compact (default 3)")
     p.add_argument("--kind", choices=["elliptic", "homological", "multiplicity"], required=True)
     p.add_argument("--save-catalog", default=None, dest="save_catalog")
     common(p)

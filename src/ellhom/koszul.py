@@ -10,13 +10,14 @@ splits it by torus weight, and computes exact integer ranks per weight per
 degree. It is the ground-truth oracle: it uses only the module matrices and
 structure constants from hwmodule, never a character-level closed form.
 
-The operator matrices and bracket constants are rational. Each call takes
-one common denominator D (the lcm of all their denominators) and assembles
-D*d, which is integral; a nonzero scalar multiple of a map has the same
-rank in every block, so the homology is unchanged and no Fraction enters
-the assembly loop. Everything that depends only on a wedge subset (its
-weight, the subsets one degree down that its terms land on, and the signs)
-is computed once per subset, not once per basis vector.
+The operator matrices and bracket constants are rational; hwmodule holds
+each as integer numerators over one denominator. Each call takes one common
+denominator D (the lcm of those denominators) and assembles D*d, which is
+integral; a nonzero scalar multiple of a map has the same rank in every
+block, so the homology is unchanged and every entry is an int. Everything
+that depends only on a wedge subset (its weight, the subsets one degree
+down that its terms land on, and the signs) is computed once per subset,
+not once per basis vector.
 
 A basis vector of Lambda^p(n) tensor V is a wedge subset S of degree p and a
 basis number v of the module's one numbered basis; it is labelled
@@ -27,7 +28,6 @@ are, with no per-weight offsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
@@ -144,25 +144,28 @@ def koszul_n_homology(
     ops = [mod.operator(alpha) for alpha in ps]
     index_of = {alpha: a for a, alpha in enumerate(ps)}
 
-    # one common denominator for every coefficient of d; scaling d by a
-    # nonzero constant changes no rank, so the scaled map is integral
-    bracket_of: dict[tuple[int, int], tuple[int, Fraction]] = {}
+    # one common denominator for every coefficient of d: the lcm of the
+    # operators' denominators and the brackets'; scaling d by a nonzero
+    # constant changes no rank, so the scaled map is integral
+    bracket_frac: dict[tuple[int, int], tuple[int, tuple[int, int]]] = {}
     for a in range(n_roots):
         for b in range(a + 1, n_roots):
             m_idx = index_of.get(tuple(x + y for x, y in zip(ps[a], ps[b])))
             if m_idx is not None:
-                bracket_of[(a, b)] = (m_idx, brackets[(ps[a], ps[b])])
-    denom = lcm(
-        *(cf.denominator for op in ops for image in op.values() for cf in image.values()),
-        *(c.denominator for _, c in bracket_of.values()),
-    )
+                bracket_frac[(a, b)] = (m_idx, brackets[(ps[a], ps[b])])
+    denom = lcm(*(d for _, d in ops), *(q for _, (_, q) in bracket_frac.values()))
+    # bracket_of[(a, b)]: (index of ps[a] + ps[b], denom * bracket constant)
+    bracket_of = {
+        key: (m_idx, p * (denom // q)) for key, (m_idx, (p, q)) in bracket_frac.items()
+    }
     # int_ops[a][v]: the image of basis vector v under x_a, scaled by denom,
     # as (basis numbers, entries, negated entries)
     int_ops = []
-    for op in ops:
+    for op, d in ops:
+        scale = denom // d
         int_op = {}
         for v, image in op.items():
-            vals = tuple(int(cf * denom) for cf in image.values())
+            vals = tuple(n * scale for n in image.values())
             int_op[v] = (tuple(image), vals, tuple(-x for x in vals))
         int_ops.append(int_op)
 
@@ -200,7 +203,7 @@ def koszul_n_homology(
                     ins = sum(1 for x in rest if x < m_idx)
                     sgn = -1 if (pa + pb + ins) % 2 == 0 else 1
                     target = tuple(sorted(rest + (m_idx,)))
-                    br_terms.append((lower_index[target] * dim, int(sgn * c * denom)))
+                    br_terms.append((lower_index[target] * dim, sgn * c))
             # distinct terms of one column land on distinct basis vectors:
             # the omitted root, or the pair {a, b} and the root a + b, is
             # recovered from the target subset, so no entry ever cancels

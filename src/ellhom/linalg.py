@@ -1,12 +1,12 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Everything here is fraction-free or Fraction-based; no floating point
-anywhere, so ranks and echelon forms are exact by construction.
+Everything here is fraction-free: a rational result is integer numerators
+over one denominator. No floating point anywhere, so ranks and echelon
+forms are exact by construction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -73,23 +73,38 @@ def sparse_int_rank(rows: list[dict[int, int]]) -> int:
     return rank
 
 
-def fraction_rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of a matrix with int or Fraction entries:
-    its nonzero rows, and the pivot column of each. Column c of the input
-    is sum_k rows[k][c] times input column pivots[k]."""
-    rows = [[Fraction(v) for v in row] for row in matrix]
+def int_rref(matrix) -> tuple[list[list[int]], list[int], int]:
+    """Reduced row echelon form of an integer matrix, fraction-free: its
+    nonzero rows as integer numerators over one positive denominator den,
+    and the pivot column of each. Column c of the input is
+    sum_k rows[k][c] / den times input column pivots[k].
+
+    Bareiss Gauss-Jordan elimination: the pivot of each column is its first
+    nonzero entry at or below the current row (so the pivot columns are the
+    leftmost independent ones), and every other row r becomes
+    (pv * r - r[col] * pivot_row) / prev, where pv is the new pivot and prev
+    the one before. Every entry is then a minor of the input, so each
+    division is exact, and the pivot rows end as den times the reduced rows,
+    den being the last pivot up to sign.
+    """
+    rows = [list(row) for row in matrix]
     pivots: list[int] = []
+    prev = 1
     for col in range(len(rows[0]) if rows else 0):
         r = len(pivots)
         piv = next((k for k in range(r, len(rows)) if rows[k][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        rows[r] = [v / pv for v in rows[r]]
+        pivot_row = rows[r]
+        pv = pivot_row[col]
         for k, row in enumerate(rows):
-            if k != r and row[col]:
+            if k != r:
                 f = row[col]
-                rows[k] = [v - f * w for v, w in zip(row, rows[r])]
+                rows[k] = [(pv * v - f * w) // prev for v, w in zip(row, pivot_row)]
+        prev = pv
         pivots.append(col)
-    return rows[:len(pivots)], pivots
+    rows = rows[:len(pivots)]
+    if prev < 0:
+        rows = [[-v for v in row] for row in rows]
+    return rows, pivots, abs(prev)

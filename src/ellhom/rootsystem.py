@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from operator import mul, neg
 
-from .linalg import fraction_rref
+from .linalg import int_rref
 
 Weight = tuple[int, ...]
 
@@ -181,15 +181,14 @@ class RootSystem:
         # alpha_i is column i of the Cartan matrix
         self.simple_roots: tuple[Weight, ...] = tuple(zip(*self.cartan))
         # root_coords(mu) = coord_matrix . mu / coord_scale: coord_matrix is
-        # the inverse Cartan matrix times the lcm of its denominators; the
+        # the inverse Cartan matrix in lowest terms over coord_scale; the
         # reduced echelon form of (C | 1) is (1 | C^-1)
-        rows, _ = fraction_rref([row + tuple(int(i == j) for j in range(rank))
+        rows, _, den = int_rref([row + tuple(int(i == j) for j in range(rank))
                                  for i, row in enumerate(self.cartan)])
         inv = [row[rank:] for row in rows]
-        self.coord_scale = lcm(*(x.denominator for row in inv for x in row))
-        self.coord_matrix = tuple(
-            tuple(int(x * self.coord_scale) for x in row) for row in inv
-        )
+        g = gcd(den, *(x for row in inv for x in row))
+        self.coord_scale = den // g
+        self.coord_matrix = tuple(tuple(x // g for x in row) for row in inv)
         # height(mu) = (height_vector . mu) / height_scale: the column sums of
         # coord_matrix over coord_scale, reduced to lowest terms
         colsums = tuple(map(sum, zip(*self.coord_matrix)))

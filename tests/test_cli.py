@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 
@@ -156,6 +157,18 @@ def test_pairing_catalog_round_trip(tmp_path, capsys):
             assert r["value"] == ("1" if r["left"] == r["right"] else "0")
 
 
+@pytest.mark.parametrize("argv,flag,source", [
+    (["--preset", "sl2", "--type", "E8", "--rank", "3", "--bound", "1"], "type", "--preset sl2"),
+    (["--preset", "sl2", "--rank", "3"], "rank", "--preset sl2"),
+    (["--preset", "unequal-rank", "--type", "G2", "--bound", "50"], "type", "--preset unequal-rank"),
+    (["--preset", "unequal-rank", "--bound", "50"], "bound", "--preset unequal-rank"),
+    (["--catalog", "cat.json", "--bound", "2"], "bound", "--catalog"),
+])
+def test_pairing_flags_a_source_does_not_read_are_usage_errors(argv, flag, source, capsys):
+    assert main(["pairing", *argv, "--kind", "elliptic"]) == 2
+    assert f"--{flag} does not apply to {source}" in capsys.readouterr().err
+
+
 def test_verify_single_suites_pass(capsys):
     assert main(["verify", "--suite", "abelian,unequalrank,standard"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -255,6 +268,18 @@ def test_verify_config_file(tmp_path, capsys):
     cfg.write_text("cap_weyl = 5\n")
     assert main(["verify", "--config", str(cfg)]) == 2
     assert "unknown config key 'cap_weyl'" in capsys.readouterr().err
+
+
+def test_verify_config_timing_values(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suites = abelian\ntiming = on\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert "timing must be" in capsys.readouterr().err
+    # a timing flag from the file reaches the table line too
+    cfg.write_text("suites = abelian\ntiming = true\n")
+    assert main(["verify", "--config", str(cfg), "--emit", "table"]) == 0
+    text = capsys.readouterr().out
+    assert re.search(r"^suite abelian: \d+/\d+ passed in \d+ ms$", text, re.M)
 
 
 def test_verify_table_emit(capsys):

@@ -1,11 +1,18 @@
 """The highest-weight module engine behind the homology oracle."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from ellhom import parse_type, weyl_dimension
 from ellhom.hwmodule import _commutator, module_for, structure_constants
+
+
+def _fractions(op):
+    """An operator (map, denominator) as one sparse map of Fraction entries."""
+    op_map, d = op
+    return {v: {t: Fraction(n, d) for t, n in image.items()} for v, image in op_map.items()}
 
 
 @pytest.mark.parametrize(
@@ -41,7 +48,7 @@ def test_cartan_commutator_is_diagonal(a2):
     for i in range(2):
         alpha = a2.simple_root(i)
         neg = tuple(-x for x in alpha)
-        h = _commutator(mod.operator(alpha), mod.operator(neg))
+        h = _fractions(_commutator(mod.operator(alpha), mod.operator(neg)))
         for v, image in h.items():
             for t, c in image.items():
                 expected = Fraction(mod.weight_of[v][i]) if t == v else Fraction(0)
@@ -49,7 +56,7 @@ def test_cartan_commutator_is_diagonal(a2):
 
 
 def test_structure_constants_antisymmetry(g2):
-    brackets = structure_constants(g2)
+    brackets = {pair: Fraction(*c) for pair, c in structure_constants(g2).items()}
     for (beta, gamma), c in brackets.items():
         assert brackets[(gamma, beta)] == -c
         assert c != 0
@@ -58,7 +65,7 @@ def test_structure_constants_antisymmetry(g2):
 def test_operators_shift_weights_correctly(b2):
     mod = module_for(b2, (1, 0))
     for root in b2.full_roots:
-        for v, image in mod.operator(root).items():
+        for v, image in _fractions(mod.operator(root)).items():
             target = tuple(x + r for x, r in zip(mod.weight_of[v], root))
             assert target in mod.spaces
             assert all(t in mod.spaces[target] for t in image)
@@ -112,8 +119,8 @@ def test_lie_relations_on_every_basis_vector(token, lam):
     # Serre relations (ad e_i)^{1 - C[i][j]} e_j = 0 = (ad f_i)^{1 - C[i][j]} f_j
     rs = parse_type(token)
     mod = module_for(rs, lam)
-    e = [mod.operator(alpha) for alpha in rs.simple_roots]
-    f = [mod.operator(tuple(-x for x in alpha)) for alpha in rs.simple_roots]
+    e = [_fractions(mod.operator(alpha)) for alpha in rs.simple_roots]
+    f = [_fractions(mod.operator(tuple(-x for x in alpha))) for alpha in rs.simple_roots]
     assert len(mod.weight_of) == weyl_dimension(lam, rs)
     for i in range(rs.rank):
         h_i = {v: {v: mu[i]} for v, mu in enumerate(mod.weight_of) if mu[i]}
@@ -126,3 +133,43 @@ def test_lie_relations_on_every_basis_vector(token, lam):
                 for _ in range(1 - rs.cartan[i][j]):
                     y = _bracket(x[i], y)
                 assert y == {}, (i, j)
+
+
+@pytest.mark.parametrize("token,lam", LIE_CASES)
+def test_operators_are_integers_over_one_denominator_in_lowest_terms(token, lam):
+    rs = parse_type(token)
+    mod = module_for(rs, lam)
+    for root in rs.full_roots:
+        op_map, d = mod.operator(root)
+        entries = [n for image in op_map.values() for n in image.values()]
+        assert type(d) is int and d > 0, root
+        assert all(type(n) is int and n for n in entries), root
+        assert gcd(d, *entries) == 1, root
+
+
+def _determinant(rows):
+    """Determinant by Gaussian elimination over Q on a dense copy."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        piv = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, len(a)):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+@pytest.mark.parametrize("token,lam", LIE_CASES)
+def test_gram_blocks_are_integral_and_nondegenerate(token, lam):
+    rs = parse_type(token)
+    mod = module_for(rs, lam)
+    for mu, space in mod.spaces.items():
+        block = [[mod.gram[v].get(u, 0) for u in space] for v in space]
+        assert all(type(x) is int for row in block for x in row), mu
+        assert _determinant(block) != 0, mu

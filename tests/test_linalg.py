@@ -1,5 +1,5 @@
 """Exact sparse integer rank against an independent Fraction elimination,
-and the reduced echelon form against its defining properties.
+and the fraction-free reduced echelon form against its defining properties.
 
 The reference below is textbook Gaussian elimination over Q on a dense
 copy, written here so it shares no code with ellhom.linalg.
@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from ellhom.linalg import fraction_rref, sparse_int_rank
+from ellhom.linalg import int_rref, sparse_int_rank
 
 
 def reference_rank(rows, n_cols):
@@ -81,18 +81,19 @@ def test_sparse_int_rank_small_cases():
 
 @given(data=sparse_matrices())
 @settings(max_examples=200, deadline=None)
-def test_fraction_rref_pivots_and_column_relations(data):
+def test_int_rref_pivots_and_column_relations(data):
     rows, n_cols = data
     matrix = [[r.get(c, 0) for c in range(n_cols)] for r in rows]
-    reduced, pivots = fraction_rref(matrix)
+    reduced, pivots, den = int_rref(matrix)
+    assert den > 0
     assert len(pivots) == len(reduced) == reference_rank(rows, n_cols)
     assert pivots == sorted(set(pivots))
     for k, row in enumerate(reduced):
-        assert [row[p] for p in pivots] == [int(k == l) for l in range(len(pivots))]
+        assert [row[p] for p in pivots] == [den * int(k == l) for l in range(len(pivots))]
         # echelon: nothing left of the pivot
         assert not any(row[:pivots[k]])
     # every input column is the combination of the pivot columns that the
-    # reduced column gives
+    # reduced column over den gives
     for c in range(n_cols):
         for r in matrix:
-            assert r[c] == sum(row[c] * r[p] for row, p in zip(reduced, pivots))
+            assert den * r[c] == sum(row[c] * r[p] for row, p in zip(reduced, pivots))
