@@ -39,9 +39,7 @@ from .pairings import (
     ext_abelian_graded,
     homological_pairing,
     multiplicity_pairing,
-    pairing_unequal_rank,
     split_rank_one_context,
-    unequal_rank_context,
 )
 from .rootsystem import (
     CapExceededError,
@@ -68,8 +66,6 @@ from .zoo import (
     sl2_catalog,
     sl2_presets,
     standard_module_class,
-    unequal_rank_catalog,
-    unequal_rank_stub,
 )
 
 __version__ = "0.1.0"

@@ -3,8 +3,9 @@ matrices over catalogs, and the verification suites of ``ellhom.verify``.
 
 Every subcommand takes ``--emit`` and ``--out``; each other flag is declared
 only on the subcommands that read it (``--seed`` on ``verify``, ``--cap-dim``
-on ``homology`` and ``verify``), and ``pairing`` rejects ``--type``,
-``--rank`` and ``--bound`` with a catalog source that does not read them.
+on ``homology`` and ``verify``), and ``pairing`` rejects ``--preset`` with
+``--catalog``, and ``--type``, ``--rank`` and ``--bound`` with a catalog
+source that does not read them.
 The Weyl-group cap is the fixed ``rootsystem.WEYL_CAP``.
 
 Exit codes: 0 all good, 1 verification failure, 2 usage error (including a
@@ -23,7 +24,7 @@ from .characters import InternalConsistencyError, freudenthal_character, weyl_ch
 from .koszul import euler_class, koszul_n_homology
 from .pairings import elliptic_pairing, homological_pairing, multiplicity_pairing
 from .rootsystem import CapExceededError, build_root_system, parse_type
-from .zoo import Catalog, compact_catalog, sl2_catalog, unequal_rank_catalog
+from .zoo import Catalog, compact_catalog, sl2_catalog
 
 
 class UsageError(Exception):
@@ -107,13 +108,14 @@ PAIRING_SOURCE_FLAGS = {
     "--catalog": (),
     "--preset sl2": ("bound",),
     "--preset compact": ("type", "rank", "bound"),
-    "--preset unequal-rank": (),
 }
 
 
 def cmd_pairing(args) -> int:
     if not (args.catalog or args.preset):
         raise UsageError("pairing needs --catalog FILE or --preset NAME")
+    if args.catalog and args.preset:
+        raise UsageError("--preset does not apply to --catalog")
     source = "--catalog" if args.catalog else f"--preset {args.preset}"
     for flag in ("type", "rank", "bound"):
         if getattr(args, flag) is not None and flag not in PAIRING_SOURCE_FLAGS[source]:
@@ -123,20 +125,17 @@ def cmd_pairing(args) -> int:
         cat = Catalog.load(args.catalog)
     elif args.preset == "sl2":
         cat = sl2_catalog(bound)
-    elif args.preset == "compact":
-        cat = compact_catalog(_resolve_type(args.type or "A1", args.rank), bound)
     else:
-        cat = unequal_rank_catalog()
+        cat = compact_catalog(_resolve_type(args.type or "A1", args.rank), bound)
     if args.save_catalog:
         cat.save(args.save_catalog)
     ctx = cat.context
-    if args.kind == "multiplicity" and not (ctx.equal_rank and ctx.w0_is_full):
+    if args.kind == "multiplicity" and not ctx.w0_is_full:
         raise UsageError("multiplicity pairing requires a compact catalog")
     ctx_summary = {
         "series": ctx.rs.series,
         "rank": ctx.rs.rank,
         "w0_order": ctx.w0_order,
-        "equal_rank": ctx.equal_rank,
     }
     rows = []
     for a in cat.modules:
@@ -189,6 +188,8 @@ def cmd_verify(args) -> int:
     }
     if args.config:
         _apply_config_file(cfg, args.config)
+    for token in cfg["types"] or ():
+        parse_type(token)  # an unsupported type is a usage error, before any suite runs
     for key in ("cap_dim", "bound", "trials"):
         if cfg[key] <= 0:
             raise UsageError(f"{key} must be positive, got {cfg[key]}")
@@ -273,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pairing", help="pairing matrix over a catalog")
     p.add_argument("--catalog", default=None, help="catalog JSON file")
-    p.add_argument("--preset", choices=["sl2", "compact", "unequal-rank"], default=None)
+    p.add_argument("--preset", choices=["sl2", "compact"], default=None)
     p.add_argument("--type", default=None, help="root system of --preset compact (default A1)")
     p.add_argument("--rank", type=int, default=None, help="rank of --preset compact")
     p.add_argument("--bound", type=int, default=None,

@@ -3,13 +3,14 @@ checks that support them (denominator symmetry, Euler-class equivariance,
 transport between positive systems, duality, abelian Ext vanishing).
 
 All values are exact rationals; there is no tolerance parameter anywhere.
+Every context is equal rank: the pairings live on the character lattice of
+a compact Cartan subgroup, and there is no unequal-rank convention.
 Complex conjugation of torus characters is exponent negation throughout,
 stated once here and used consistently by the elliptic pairing and duals.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -35,22 +36,18 @@ from .rootsystem import (
     trivial_subgroup,
 )
 
-logger = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class PairContext:
-    """Everything a pairing needs: the root system, a positive system, the
-    subgroup W0 normalizing the compact Cartan, and the rank condition.
-
-    When equal_rank is false every pairing short-circuits to zero, which is
-    the defining convention for groups without a compact Cartan subgroup.
+    """Everything a pairing needs: the root system, a positive system, and
+    the subgroup W0 normalizing the compact Cartan. Every context is equal
+    rank; the catalog format records that as ``"equal_rank": true``
+    and refuses any other value.
     """
 
     rs: RootSystem
     positive_system: tuple[Weight, ...]
     w0: WeylSubgroup
-    equal_rank: bool = True
 
     def __post_init__(self):
         object.__setattr__(
@@ -74,20 +71,21 @@ class PairContext:
             "rank": self.rs.rank,
             "positive_system": [list(a) for a in self.positive_system],
             "w0": [[list(row) for row in w.matrix] for w in self.w0],
-            "equal_rank": self.equal_rank,
+            "equal_rank": True,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "PairContext":
         from .rootsystem import build_root_system
 
+        if data["equal_rank"] is not True:
+            raise ValueError("only equal-rank contexts are supported")
         rs = build_root_system(data["series"], data["rank"])
         w0 = subgroup_from_generators(rs, [tuple(tuple(r) for r in m) for m in data["w0"]])
         return cls(
             rs=rs,
             positive_system=tuple(tuple(a) for a in data["positive_system"]),
             w0=w0,
-            equal_rank=bool(data["equal_rank"]),
         )
 
 
@@ -97,7 +95,6 @@ def compact_context(rs: RootSystem) -> PairContext:
         rs=rs,
         positive_system=rs.positive_roots,
         w0=rs.weyl_group(),
-        equal_rank=True,
     )
 
 
@@ -107,16 +104,6 @@ def split_rank_one_context(rs: RootSystem) -> PairContext:
         rs=rs,
         positive_system=rs.positive_roots,
         w0=trivial_subgroup(rs),
-        equal_rank=True,
-    )
-
-
-def unequal_rank_context(rs: RootSystem) -> PairContext:
-    return PairContext(
-        rs=rs,
-        positive_system=rs.positive_roots,
-        w0=trivial_subgroup(rs),
-        equal_rank=False,
     )
 
 
@@ -126,15 +113,7 @@ def custom_context(rs: RootSystem, generators) -> PairContext:
         rs=rs,
         positive_system=rs.positive_roots,
         w0=subgroup_from_generators(rs, generators),
-        equal_rank=True,
     )
-
-
-def pairing_unequal_rank(ctx: PairContext, kind: str = "elliptic") -> Fraction:
-    """The zero pairing for rank(G) > rank(K); records which convention
-    fired so batch reports can say why a value vanished."""
-    logger.debug("unequal-rank context: %s pairing short-circuits to 0", kind)
-    return Fraction(0)
 
 
 def _check_rank(ctx: PairContext, *elements):
@@ -147,7 +126,7 @@ def multiplicity_pairing(chi_u: CharElement, chi_v: CharElement, ctx: PairContex
     """dim Hom for compact-group characters, via the Weyl integral form
     (1/|W|) * CT(D * chi_u * conj(chi_v))."""
     _check_rank(ctx, chi_u, chi_v)
-    if not (ctx.equal_rank and ctx.w0_is_full):
+    if not ctx.w0_is_full:
         raise ValueError("multiplicity pairing requires a compact context (W0 = W)")
     for i in range(ctx.rs.rank):
         s = ctx.rs.simple_reflection(i)
@@ -160,16 +139,12 @@ def multiplicity_pairing(chi_u: CharElement, chi_v: CharElement, ctx: PairContex
 def elliptic_pairing(xi_u: CharElement, xi_v: CharElement, ctx: PairContext) -> Fraction:
     """(1/[W0]) * CT(Xi_U * conj(Xi_V)) on Euler classes."""
     _check_rank(ctx, xi_u, xi_v)
-    if not ctx.equal_rank:
-        return pairing_unequal_rank(ctx, "elliptic")
     return Fraction(torus_pairing(xi_u, xi_v), ctx.w0_order)
 
 
 def homological_pairing(h_u: GradedHomology, h_v: GradedHomology, ctx: PairContext) -> Fraction:
     """(1/[W0]) * sum_{p,q} (-1)^{p+q} dim Hom_T(H_p, H_q), the Hom count
     being the coefficientwise product sum of the two torus characters."""
-    if not ctx.equal_rank:
-        return pairing_unequal_rank(ctx, "homological")
     if h_u.positive_system != h_v.positive_system:
         raise ValueError("positive-system mismatch between the two homologies")
     if h_u.positive_system != ctx.positive_system:
@@ -196,8 +171,6 @@ def ext_abelian_graded(nu, d: int) -> list[int]:
     nu = [Fraction(x) for x in nu]
     if len(nu) != d:
         raise ValueError(f"functional has length {len(nu)}, expected {d}")
-    if d == 0:
-        return [1]
     scale = lcm(*(x.denominator for x in nu))
     nu_int = [int(x * scale) for x in nu]
     index = {}
@@ -252,8 +225,6 @@ def antisym_transport(xi_n: CharElement, w: WeylElement, ctx: PairContext) -> Ch
 def dual_class(xi: CharElement, ctx: PairContext) -> CharElement:
     """Euler class of the dual module: (-1)^{|R+|} e^{2 rho} conj(Xi)."""
     _check_rank(ctx, xi)
-    if not ctx.equal_rank:
-        raise ValueError("dual classes are defined on equal-rank contexts")
     n = len(ctx.rs.positive_roots)
     two_rho = tuple(2 * x for x in ctx.rs.rho)
     return xi.conjugate().shift(two_rho, coeff=(-1) ** n)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from math import comb
 
 from .characters import (
     InternalConsistencyError,
@@ -37,20 +36,8 @@ from .pairings import (
     ext_abelian_graded,
     homological_pairing,
 )
-from .rootsystem import (
-    WEYL_CAP,
-    CapExceededError,
-    classical_weyl_order,
-    dominant_box,
-    parse_type,
-)
-from .zoo import (
-    GeometricDatum,
-    dual_standard_class,
-    sl2_catalog,
-    standard_module_class,
-    unequal_rank_catalog,
-)
+from .rootsystem import WEYL_CAP, CapExceededError, dominant_box, parse_type
+from .zoo import GeometricDatum, dual_standard_class, sl2_catalog, standard_module_class
 
 DEFAULT_SEED = 20260808
 DEFAULT_BOUND = 3
@@ -59,7 +46,6 @@ DEFAULT_TRIALS = 1000
 RANK_LE_3 = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2"]
 RANK_LE_2 = ["A1", "A2", "B2", "C2", "G2"]
 SCHUR_TYPES = ["A1", "A2", "B2", "G2"]
-ORDER_CHECK_TYPES = RANK_LE_3 + ["F4"]
 
 
 def _case(name, inputs, expected, actual):
@@ -99,7 +85,7 @@ def suite_schur(cfg) -> list[dict]:
                     mism["elliptic"] += 1
                 if h != delta:
                     mism["homological"] += 1
-                if e.denominator != 1 or (e * ctx.w0_order).denominator != 1:
+                if e.denominator != 1:
                     nonint += 1
         note = f"{token}, {len(lams)}^2 pairs, coords <= {cfg['bound']}"
         for kind, bad in mism.items():
@@ -109,39 +95,30 @@ def suite_schur(cfg) -> list[dict]:
 
 
 def suite_kazhdan(cfg) -> list[dict]:
-    """Seeded fuzz of the main equality: the elliptic and homological
-    pairings agree on random virtual combinations of compact classes."""
+    """Seeded fuzz: the elliptic pairing is an integer on random virtual
+    combinations of compact Euler classes. (The homological pairing of the
+    same combinations of homologies equals it by bilinearity, so comparing
+    the two here could not fail.)"""
     cases = []
     for token in cfg["types"] or RANK_LE_3:
         rs = parse_type(token)
         ctx = compact_context(rs)
         bound = 2 if rs.rank <= 2 else 1
-        basis = []
-        for lam in dominant_box(rs.rank, bound):
-            h = kostant_homology(lam, rs)
-            basis.append((h, euler_class(h)))
+        basis = [euler_class(kostant_homology(lam, rs)) for lam in dominant_box(rs.rank, bound)]
         rng = random.Random(cfg["seed"])
-        mismatches = 0
         nonint = 0
         for _ in range(cfg["trials"]):
             combos = []
             for _ in range(2):
                 coeffs = [rng.randint(-3, 3) for _ in basis]
                 xi = CharElement.zero(rs.rank)
-                gh = basis[0][0].scale(0)
-                for c, (h, e) in zip(coeffs, basis):
+                for c, e in zip(coeffs, basis):
                     if c:
                         xi = xi + e * c
-                        gh = gh + h.scale(c)
-                combos.append((gh, xi))
-            ell = elliptic_pairing(combos[0][1], combos[1][1], ctx)
-            hom = homological_pairing(combos[0][0], combos[1][0], ctx)
-            if ell != hom:
-                mismatches += 1
-            if ell.denominator != 1:
+                combos.append(xi)
+            if elliptic_pairing(combos[0], combos[1], ctx).denominator != 1:
                 nonint += 1
         note = f"{token}, {cfg['trials']} seeded pairs, basis coords <= {bound}"
-        cases.append(_case(f"kazhdan {token}", note, "0 mismatches", f"{mismatches} mismatches"))
         cases.append(_case(f"kazhdan integrality {token}", note, "0 non-integers", f"{nonint} non-integers"))
     return cases
 
@@ -226,51 +203,32 @@ def suite_antisym(cfg) -> list[dict]:
 
 
 def suite_abelian(cfg) -> list[dict]:
-    """Graded Ext over abelian Lie algebras: binomial dimensions at the
-    trivial character, zero otherwise, Euler sum always zero."""
+    """Graded Ext over abelian Lie algebras vanishes in every degree at a
+    nonzero character. (At the trivial character no map is built, so the
+    binomial dimensions there hold by construction.)"""
     cases = []
     for d in range(1, 7):
-        dims0 = ext_abelian_graded([0] * d, d)
-        expected = [comb(d, p) for p in range(d + 1)]
-        cases.append(_case(f"abelian nu=0 d={d}", "trivial character", expected, dims0))
-        euler0 = sum((-1) ** p * v for p, v in enumerate(dims0))
-        cases.append(_case(f"abelian nu=0 euler d={d}", "trivial character", 0, euler0))
-        dims1 = ext_abelian_graded([Fraction(1, 2)] + [0] * (d - 1), d)
-        cases.append(_case(f"abelian nu!=0 d={d}", "nonzero character", [0] * (d + 1), dims1))
-    cases.append(_case("abelian d=0", "empty algebra", [1], ext_abelian_graded([], 0)))
+        dims = ext_abelian_graded([Fraction(1, 2)] + [0] * (d - 1), d)
+        cases.append(_case(f"abelian nu!=0 d={d}", "nonzero character", [0] * (d + 1), dims))
     return cases
 
 
 def suite_standard(cfg) -> list[dict]:
     """Standard-module classes: discrete-series orthogonality for the
-    rank-one split preset, open-orbit vanishing, and agreement of the two
-    dual-class formulas on seeded closed-orbit data."""
+    rank-one split preset, and agreement of the two dual-class formulas on
+    seeded closed-orbit data."""
     cases = []
     cat = sl2_catalog(cfg["bound"])
     ctx = cat.context
     closed = [m for m in cat.modules if m.provenance == "standard_closed"]
-    openm = [m for m in cat.modules if m.provenance == "standard_open"]
     bad = 0
-    nonint = 0
     for a in closed:
         for b in closed:
-            v = elliptic_pairing(a.euler, b.euler, ctx)
-            if v != (1 if a.label == b.label else 0):
+            if elliptic_pairing(a.euler, b.euler, ctx) != (1 if a.label == b.label else 0):
                 bad += 1
-            if v.denominator != 1:
-                nonint += 1
     cases.append(
         _case("standard sl2 orthogonality", f"{len(closed)} closed classes", "identity matrix", "identity matrix" if bad == 0 else f"{bad} entries off")
     )
-    cases.append(_case("standard sl2 integrality", f"{len(closed)}^2 pairs", "0 non-integers", f"{nonint} non-integers"))
-    bad_open = 0
-    for m in cat.modules:
-        for o in openm:
-            if elliptic_pairing(o.euler, m.euler, ctx) != 0:
-                bad_open += 1
-            if homological_pairing(o.graded(), m.graded(), ctx) != 0:
-                bad_open += 1
-    cases.append(_case("standard open-orbit vanishing", "both pairings vs all classes", "all zero", "all zero" if bad_open == 0 else f"{bad_open} nonzero"))
     rng = random.Random(cfg["seed"])
     bad_dual = 0
     for rs_token in ("A1", "B2"):
@@ -287,33 +245,8 @@ def suite_standard(cfg) -> list[dict]:
     return cases
 
 
-def suite_unequalrank(cfg) -> list[dict]:
-    """Both pairings are exactly zero on unequal-rank contexts, by the
-    short-circuit and by explicit abelian-Ext Euler vanishing."""
-    cases = []
-    cat = unequal_rank_catalog()
-    ctx = cat.context
-    bad = 0
-    for a in cat.modules:
-        for b in cat.modules:
-            if elliptic_pairing(a.euler, b.euler, ctx) != 0:
-                bad += 1
-            if homological_pairing(a.graded(), b.graded(), ctx) != 0:
-                bad += 1
-    cases.append(_case("unequal-rank short-circuit", f"{len(cat.modules)} stubs, both kinds", "all zero", "all zero" if bad == 0 else f"{bad} nonzero"))
-    bad_euler = 0
-    for d in range(1, 7):
-        for nu in ([0] * d, [1] + [0] * (d - 1)):
-            dims = ext_abelian_graded(nu, d)
-            if sum((-1) ** p * v for p, v in enumerate(dims)) != 0:
-                bad_euler += 1
-    cases.append(_case("unequal-rank ext vanishing", "d = 1..6, nu zero and nonzero", "all Euler sums 0", "all Euler sums 0" if bad_euler == 0 else f"{bad_euler} nonzero"))
-    return cases
-
-
 def suite_oracles(cfg) -> list[dict]:
-    """Cross-checks: the two character algorithms agree, Weyl group orders
-    match the classical formulas, and CT(D) = |W|."""
+    """Cross-checks: the two character algorithms agree, and CT(D) = |W|."""
     cases = []
     for token in cfg["types"] or SCHUR_TYPES:
         rs = parse_type(token)
@@ -325,12 +258,6 @@ def suite_oracles(cfg) -> list[dict]:
             if chi_f != chi_w or chi_f.coefficient_sum() != weyl_dimension(lam, rs):
                 bad += 1
         cases.append(_case(f"oracles characters {token}", f"{len(lams)} weights, coords <= {cfg['bound']}", "0 mismatches", f"{bad} mismatches"))
-    bad_orders = []
-    for token in ORDER_CHECK_TYPES:
-        rs = parse_type(token)
-        if rs.weyl_group().order != classical_weyl_order(rs.series, rs.rank):
-            bad_orders.append(token)
-    cases.append(_case("oracles weyl orders", ", ".join(ORDER_CHECK_TYPES), "all match", "all match" if not bad_orders else f"off: {bad_orders}"))
     bad_ct = []
     for token in RANK_LE_3:
         rs = parse_type(token)
@@ -348,7 +275,6 @@ SUITE_RUNNERS = {
     "antisym": suite_antisym,
     "abelian": suite_abelian,
     "standard": suite_standard,
-    "unequalrank": suite_unequalrank,
     "oracles": suite_oracles,
 }
 SUITES = tuple(SUITE_RUNNERS)
@@ -370,13 +296,14 @@ def default_config() -> dict:
 
 def run_suite(name: str, cfg) -> dict:
     """One suite's report. A cap hit or an internal error becomes a single
-    failed case, so the other suites of a run still report."""
+    failed case, so the other suites of a run still report. The config is
+    checked before any suite runs, so a ValueError here is a bug too."""
     start = time.monotonic()
     try:
         cases = SUITE_RUNNERS[name](cfg)
     except CapExceededError as exc:
         cases = [_case(name, "", "completed", f"skipped: cap ({exc})")]
-    except (InternalConsistencyError, AssertionError) as exc:
+    except (InternalConsistencyError, AssertionError, ValueError) as exc:
         cases = [_case(name, "", "completed", f"internal error: {exc}")]
     elapsed_ms = int((time.monotonic() - start) * 1000)
     passed = sum(1 for c in cases if c["pass"])

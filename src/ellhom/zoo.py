@@ -1,8 +1,8 @@
 """A catalog of Grothendieck-group classes for the pairings to act on:
 compact irreducibles with their graded homology, standard-module classes
-from closed or non-closed orbit data, their duals, rank-one split presets,
-and unequal-rank stubs. Catalogs serialize to JSON so verification runs
-are reproducible and diffable.
+from closed or non-closed orbit data, their duals, and rank-one split
+presets. Catalogs serialize to JSON so verification runs are reproducible
+and diffable.
 """
 
 from __future__ import annotations
@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 from .charring import CharElement
 from .koszul import GradedHomology, euler_class, kostant_homology
-from .pairings import (
-    PairContext,
-    compact_context,
-    split_rank_one_context,
-    unequal_rank_context,
-)
+from .pairings import PairContext, compact_context, split_rank_one_context
 from .rootsystem import RootSystem, Weight, build_root_system, dominant_box, rho_shift
 
 PROVENANCES = (
@@ -93,7 +88,7 @@ def compact_irreducible(lam: Weight, ctx: PairContext) -> VirtualModule:
     context; homology graded by the per-degree closed form (validated
     against the chain-complex oracle by the test suite)."""
     lam = tuple(lam)
-    if not (ctx.equal_rank and ctx.w0_is_full):
+    if not ctx.w0_is_full:
         raise ValueError("compact irreducibles need a compact context (W0 = W)")
     homology = kostant_homology(lam, ctx.rs)
     return VirtualModule(
@@ -197,17 +192,6 @@ def sl2_presets(weight_bound: int = 3) -> list[VirtualModule]:
     return modules
 
 
-def unequal_rank_stub(label: str) -> VirtualModule:
-    """A class on an unequal-rank A1 context; every pairing against it is
-    zero through the short-circuit, whatever its Euler data says."""
-    return VirtualModule(
-        label=label,
-        ctx=unequal_rank_context(build_root_system("A", 1)),
-        euler=CharElement.one(1),
-        provenance="external",
-    )
-
-
 @dataclass(frozen=True)
 class Catalog:
     """An immutable zoo: one context plus its module classes."""
@@ -263,8 +247,3 @@ def compact_catalog(rs: RootSystem, bound: int) -> Catalog:
 def sl2_catalog(weight_bound: int = 3) -> Catalog:
     modules = sl2_presets(weight_bound)
     return Catalog(context=modules[0].ctx, modules=tuple(modules))
-
-
-def unequal_rank_catalog() -> Catalog:
-    modules = tuple(unequal_rank_stub(f"stub-{i}") for i in range(3))
-    return Catalog(context=modules[0].ctx, modules=modules)

@@ -127,13 +127,6 @@ def test_pairing_compact_all_kinds_agree(capsys):
     assert matrices["elliptic"] == matrices["homological"] == matrices["multiplicity"]
 
 
-def test_pairing_unequal_rank_all_zero(capsys):
-    for kind in ("elliptic", "homological"):
-        assert main(["pairing", "--preset", "unequal-rank", "--kind", kind]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert all(r["value"] == "0" for r in out["pairings"])
-
-
 def test_pairing_kind_context_mismatch():
     proc = run_cli("pairing", "--preset", "sl2", "--kind", "multiplicity")
     assert proc.returncode == 2
@@ -160,8 +153,8 @@ def test_pairing_catalog_round_trip(tmp_path, capsys):
 @pytest.mark.parametrize("argv,flag,source", [
     (["--preset", "sl2", "--type", "E8", "--rank", "3", "--bound", "1"], "type", "--preset sl2"),
     (["--preset", "sl2", "--rank", "3"], "rank", "--preset sl2"),
-    (["--preset", "unequal-rank", "--type", "G2", "--bound", "50"], "type", "--preset unequal-rank"),
-    (["--preset", "unequal-rank", "--bound", "50"], "bound", "--preset unequal-rank"),
+    (["--catalog", "cat.json", "--preset", "compact"], "preset", "--catalog"),
+    (["--catalog", "cat.json", "--type", "A2"], "type", "--catalog"),
     (["--catalog", "cat.json", "--bound", "2"], "bound", "--catalog"),
 ])
 def test_pairing_flags_a_source_does_not_read_are_usage_errors(argv, flag, source, capsys):
@@ -170,10 +163,10 @@ def test_pairing_flags_a_source_does_not_read_are_usage_errors(argv, flag, sourc
 
 
 def test_verify_single_suites_pass(capsys):
-    assert main(["verify", "--suite", "abelian,unequalrank,standard"]) == 0
+    assert main(["verify", "--suite", "abelian,weyldenom,standard"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["summary"]["failed"] == 0
-    assert [r["suite"] for r in out["reports"]] == ["abelian", "unequalrank", "standard"]
+    assert [r["suite"] for r in out["reports"]] == ["abelian", "weyldenom", "standard"]
     assert "timing_ms" not in out["reports"][0]
 
 
@@ -196,6 +189,16 @@ def test_verify_unknown_suite_exits_2():
     proc = run_cli("verify", "--suite", "nonsense")
     assert proc.returncode == 2
     assert "unknown suites" in proc.stderr
+
+
+def test_verify_unsupported_type_exits_2(tmp_path, capsys):
+    # the type is checked before any suite runs, from the flag and the file
+    assert main(["verify", "--suite", "weyldenom", "--type", "Z9"]) == 2
+    assert "unsupported type/rank" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("type = Z9\nsuites = weyldenom\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert "unsupported type/rank" in capsys.readouterr().err
 
 
 def test_verify_cap_exceeded_is_reported_not_silent(capsys):
@@ -221,20 +224,21 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 
 def test_verify_internal_error_is_a_failed_case(monkeypatch, capsys):
     # a bug inside one suite fails that suite; the others still report
-    def broken_suite(cfg):
-        raise InternalConsistencyError("planted")
+    for error in (InternalConsistencyError, AssertionError, ValueError):
+        def broken_suite(cfg):
+            raise error("planted")
 
-    monkeypatch.setitem(verify.SUITE_RUNNERS, "abelian", broken_suite)
-    rc = main(["verify", "--suite", "abelian,unequalrank"])
-    out = json.loads(capsys.readouterr().out)
-    assert rc == 1
-    broken, other = out["reports"]
-    assert broken["cases"] == [
-        {"name": "abelian", "inputs": "", "expected": "completed",
-         "actual": "internal error: planted", "pass": False}
-    ]
-    assert other["suite"] == "unequalrank"
-    assert other["summary"]["total"] > 0 and other["summary"]["failed"] == 0
+        monkeypatch.setitem(verify.SUITE_RUNNERS, "abelian", broken_suite)
+        rc = main(["verify", "--suite", "abelian,standard"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        broken, other = out["reports"]
+        assert broken["cases"] == [
+            {"name": "abelian", "inputs": "", "expected": "completed",
+             "actual": "internal error: planted", "pass": False}
+        ]
+        assert other["suite"] == "standard"
+        assert other["summary"]["total"] > 0 and other["summary"]["failed"] == 0
 
 
 def test_verify_reports_are_byte_identical(tmp_path):

@@ -23,9 +23,7 @@ from ellhom import (
     kostant_homology,
     multiplicity_pairing,
     parse_type,
-    pairing_unequal_rank,
     split_rank_one_context,
-    unequal_rank_context,
     weyl_character,
 )
 
@@ -80,13 +78,6 @@ def test_elliptic_split_rank_one(a1):
     assert elliptic_pairing(ds, ds, ctx) == 1
     other = CharElement(1, {(3,): -1})
     assert elliptic_pairing(ds, other, ctx) == 0
-
-
-def test_elliptic_unequal_rank_is_zero(a1):
-    ctx = unequal_rank_context(a1)
-    xi = CharElement(1, {(1,): 7})
-    assert elliptic_pairing(xi, xi, ctx) == 0
-    assert pairing_unequal_rank(ctx, "elliptic") == 0
 
 
 def test_elliptic_rank_mismatch(a2):
@@ -284,20 +275,6 @@ def test_homological_pairing_is_biadditive(a1):
     lhs = homological_pairing(h1 + h2.scale(3), h3, ctx)
     rhs = homological_pairing(h1, h3, ctx) + 3 * homological_pairing(h2, h3, ctx)
     assert lhs == rhs
-
-
-def test_unequal_rank_logs_which_convention_fired(a1, caplog):
-    import logging
-
-    ctx = unequal_rank_context(a1)
-    with caplog.at_level(logging.DEBUG, logger="ellhom.pairings"):
-        elliptic_pairing(CharElement.one(1), CharElement.one(1), ctx)
-        homological_pairing(
-            kostant_homology((0,), a1), kostant_homology((0,), a1), ctx
-        )
-    messages = [r.getMessage() for r in caplog.records]
-    assert any("elliptic" in m and "short-circuits to 0" in m for m in messages)
-    assert any("homological" in m for m in messages)
 
 
 # -- contexts ----------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Zoo classes: standard modules, duals, rank-one presets, stubs, catalogs."""
+"""Zoo classes: standard modules, duals, rank-one presets, catalogs."""
 
 import json
 import random
@@ -25,7 +25,6 @@ from ellhom import (
     sl2_catalog,
     sl2_presets,
     standard_module_class,
-    unequal_rank_stub,
     weyl_character,
 )
 
@@ -142,18 +141,20 @@ def test_closed_orbit_classes_satisfy_antisym(b2):
             assert check_antisym_i(xi, w, ctx)
 
 
-def test_unequal_rank_stub_round_trip(tmp_path):
-    stub = unequal_rank_stub("stub-a")
-    ctx = stub.ctx
-    assert elliptic_pairing(stub.euler, stub.euler, ctx) == 0
-    assert homological_pairing(stub.graded(), stub.graded(), ctx) == 0
-    cat = Catalog(context=ctx, modules=(stub,))
-    path = tmp_path / "stubs.json"
-    cat.save(path)
-    reloaded = Catalog.load(path)
-    m = reloaded.modules[0]
-    assert elliptic_pairing(m.euler, m.euler, reloaded.context) == 0
-    assert homological_pairing(m.graded(), m.graded(), reloaded.context) == 0
+def test_unequal_rank_catalog_is_a_usage_error(tmp_path, capsys):
+    # every context is equal rank: a catalog file saying otherwise is refused
+    from ellhom.cli import main
+
+    path = tmp_path / "cat.json"
+    sl2_catalog(1).save(path)
+    data = json.loads(path.read_text())
+    assert data["context"]["equal_rank"] is True
+    data["context"]["equal_rank"] = False
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="equal-rank"):
+        Catalog.load(path)
+    assert main(["pairing", "--catalog", str(path), "--kind", "elliptic"]) == 2
+    assert "only equal-rank contexts" in capsys.readouterr().err
 
 
 def test_virtual_module_validates_homology(a1):
