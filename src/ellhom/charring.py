@@ -22,6 +22,41 @@ from operator import add, le, mul, neg, sub
 
 from .rootsystem import RootSystem, Weight, WeylElement
 
+_JSON_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+               bool: "true or false", type(None): "null"}
+
+
+def json_field(data, key: str, *kinds):
+    """data[key] of parsed JSON, or ValueError naming the key when data is
+    not an object, has no such key, or holds a value of none of the given
+    types (true and false are not integers)."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object with key {key!r}, got {type(data).__name__}")
+    if key not in data:
+        raise ValueError(f"JSON object has no key {key!r}")
+    value = data[key]
+    if type(value) not in kinds:
+        names = " or ".join(_JSON_NAMES[k] for k in kinds)
+        raise ValueError(f"JSON key {key!r} must be {names}, got {type(value).__name__}")
+    return value
+
+
+def json_ints(data, key: str, depth: int):
+    """data[key] of parsed JSON, a list of integers nested depth lists
+    deep (1 for a weight, 3 for a list of matrices), as nested tuples; or
+    ValueError naming the key."""
+
+    def walk(value, depth):
+        if type(value) is not list:
+            raise ValueError(f"JSON key {key!r} must hold lists, got {type(value).__name__}")
+        if depth > 1:
+            return tuple(walk(v, depth - 1) for v in value)
+        if not set(map(type, value)) <= {int}:
+            raise ValueError(f"JSON key {key!r} must hold integers")
+        return tuple(value)
+
+    return walk(json_field(data, key, list), depth)
+
 
 class CharElement:
     """A formal Laurent polynomial sum of c_mu * e^mu with integer c_mu."""
@@ -201,8 +236,11 @@ class CharElement:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CharElement":
-        terms = {tuple(t["w"]): int(t["c"]) for t in data["terms"]}
-        return cls(int(data["rank"]), terms)
+        terms = json_field(data, "terms", list)
+        return cls(
+            json_field(data, "rank", int),
+            {json_ints(t, "w", 1): int(json_field(t, "c", str)) for t in terms},
+        )
 
 
 def _unpack(packed: dict[int, int], radices, lo) -> dict[Weight, int]:

@@ -2,11 +2,13 @@
 matrices over catalogs, and the verification suites of ``ellhom.verify``.
 
 Every subcommand takes ``--emit`` and ``--out``; each other flag is declared
-only on the subcommands that read it (``--seed`` on ``verify``, ``--cap-dim``
-on ``homology`` and ``verify``), and ``pairing`` rejects ``--preset`` with
-``--catalog``, and ``--type``, ``--rank`` and ``--bound`` with a catalog
-source that does not read them.
-The Weyl-group cap is the fixed ``rootsystem.WEYL_CAP``.
+only on the subcommands that read it (``--seed`` only on ``verify``), and
+``pairing`` rejects ``--preset`` with ``--catalog``, and ``--type`` and
+``--bound`` with a catalog source that does not read them. A root system is
+named by one ``--type`` token such as ``A2``. Every input has one flag; there
+is no config file. The caps are fixed: ``rootsystem.WEYL_CAP`` on Weyl
+groups, ``koszul.DIM_CAP`` on modules and ``koszul.COMPLEX_DIM_CAP`` on chain
+complexes.
 
 Exit codes: 0 all good, 1 verification failure, 2 usage error (including a
 cap hit), 3 internal error. JSON reports are deterministic for a fixed config
@@ -21,9 +23,10 @@ import sys
 
 from . import verify
 from .characters import InternalConsistencyError, freudenthal_character, weyl_character
+from .charring import divide_exact, half_denominator
 from .koszul import euler_class, koszul_n_homology
 from .pairings import elliptic_pairing, homological_pairing, multiplicity_pairing
-from .rootsystem import CapExceededError, build_root_system, parse_type
+from .rootsystem import CapExceededError, parse_type
 from .zoo import Catalog, compact_catalog, sl2_catalog
 
 
@@ -39,12 +42,6 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
     if len(coords) != rank:
         raise UsageError(f"weight {text!r} does not have rank {rank}")
     return coords
-
-
-def _resolve_type(token: str, rank: int | None) -> "RootSystem":
-    if rank is not None:
-        return build_root_system(token, rank)
-    return parse_type(token)
 
 
 def _emit(payload: dict, args, table_lines=None) -> None:
@@ -63,7 +60,7 @@ def _emit(payload: dict, args, table_lines=None) -> None:
 
 
 def cmd_rootsys(args) -> int:
-    rs = _resolve_type(args.type, args.rank)
+    rs = parse_type(args.type)
     payload = rs.to_dict()
     lines = [f"{rs.series}{rs.rank}: {len(rs.positive_roots)} positive roots, |W| = {rs.weyl_order}"]
     lines += [f"  {list(a)}" for a in rs.positive_roots]
@@ -72,7 +69,7 @@ def cmd_rootsys(args) -> int:
 
 
 def cmd_char(args) -> int:
-    rs = _resolve_type(args.type, args.rank)
+    rs = parse_type(args.type)
     lam = _parse_weight(args.weight, rs.rank)
     if args.algorithm in ("weyl", "both"):
         chi = weyl_character(lam, rs)
@@ -88,13 +85,13 @@ def cmd_char(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    rs = _resolve_type(args.type, args.rank)
+    rs = parse_type(args.type)
     lam = _parse_weight(args.weight, rs.rank)
     ps = rs.positive_roots
     if args.word:
         w = rs.from_word(int(i) for i in args.word.split(","))
         ps = tuple(w.act(a) for a in rs.positive_roots)
-    gh = koszul_n_homology(lam, ps, rs, cap_dim=args.cap_dim)
+    gh = koszul_n_homology(lam, ps, rs)
     payload = gh.to_dict()
     lines = [f"H_*(n, V{lam}) on {rs.series}{rs.rank}:"]
     lines += [f"  H_{p} = {cls}" for p, cls in enumerate(gh.classes)]
@@ -107,7 +104,7 @@ def cmd_homology(args) -> int:
 PAIRING_SOURCE_FLAGS = {
     "--catalog": (),
     "--preset sl2": ("bound",),
-    "--preset compact": ("type", "rank", "bound"),
+    "--preset compact": ("type", "bound"),
 }
 
 
@@ -117,7 +114,7 @@ def cmd_pairing(args) -> int:
     if args.catalog and args.preset:
         raise UsageError("--preset does not apply to --catalog")
     source = "--catalog" if args.catalog else f"--preset {args.preset}"
-    for flag in ("type", "rank", "bound"):
+    for flag in ("type", "bound"):
         if getattr(args, flag) is not None and flag not in PAIRING_SOURCE_FLAGS[source]:
             raise UsageError(f"--{flag} does not apply to {source}")
     bound = 3 if args.bound is None else args.bound
@@ -126,7 +123,7 @@ def cmd_pairing(args) -> int:
     elif args.preset == "sl2":
         cat = sl2_catalog(bound)
     else:
-        cat = compact_catalog(_resolve_type(args.type or "A1", args.rank), bound)
+        cat = compact_catalog(parse_type(args.type or "A1"), bound)
     if args.save_catalog:
         cat.save(args.save_catalog)
     ctx = cat.context
@@ -137,26 +134,26 @@ def cmd_pairing(args) -> int:
         "rank": ctx.rs.rank,
         "w0_order": ctx.w0_order,
     }
-    rows = []
-    for a in cat.modules:
-        for b in cat.modules:
-            if args.kind == "elliptic":
-                v = elliptic_pairing(a.euler, b.euler, ctx)
-            elif args.kind == "homological":
-                v = homological_pairing(a.graded(), b.graded(), ctx)
-            else:
-                v = multiplicity_pairing(
-                    _euler_to_character(a, ctx), _euler_to_character(b, ctx), ctx
-                )
-            rows.append(
-                {
-                    "kind": args.kind,
-                    "left": a.label,
-                    "right": b.label,
-                    "value": str(v),
-                    "context": ctx_summary,
-                }
-            )
+    if args.kind == "elliptic":
+        pair, classes = elliptic_pairing, [m.euler for m in cat.modules]
+    elif args.kind == "homological":
+        pair, classes = homological_pairing, [m.graded() for m in cat.modules]
+    else:
+        # a compact class is half_denominator * chi; divide once per module
+        half = half_denominator(ctx.rs)
+        pair = multiplicity_pairing
+        classes = [divide_exact(m.euler, half, ctx.rs) for m in cat.modules]
+    rows = [
+        {
+            "kind": args.kind,
+            "left": a.label,
+            "right": b.label,
+            "value": str(pair(x, y, ctx)),
+            "context": ctx_summary,
+        }
+        for a, x in zip(cat.modules, classes)
+        for b, y in zip(cat.modules, classes)
+    ]
     labels = [m.label for m in cat.modules]
     width = max(len(l) for l in labels) + 1
     lines = [" " * width + "".join(f"{l:>{width}}" for l in labels)]
@@ -168,14 +165,6 @@ def cmd_pairing(args) -> int:
     return 0
 
 
-def _euler_to_character(vm, ctx):
-    """Recover the compact character chi from a compact-irreducible class
-    (Euler = half_denominator * chi, divided exactly)."""
-    from .charring import divide_exact, half_denominator
-
-    return divide_exact(vm.euler, half_denominator(ctx.rs), ctx.rs)
-
-
 def cmd_verify(args) -> int:
     cfg = {
         "types": [args.type] if args.type else None,
@@ -183,14 +172,11 @@ def cmd_verify(args) -> int:
         "trials": args.trials,
         "seed": args.seed,
         "suites": args.suite.split(",") if args.suite else list(verify.SUITES),
-        "cap_dim": args.cap_dim,
         "timing": args.timing,
     }
-    if args.config:
-        _apply_config_file(cfg, args.config)
-    for token in cfg["types"] or ():
-        parse_type(token)  # an unsupported type is a usage error, before any suite runs
-    for key in ("cap_dim", "bound", "trials"):
+    if args.type:
+        parse_type(args.type)  # an unsupported type is a usage error, before any suite runs
+    for key in ("bound", "trials"):
         if cfg[key] <= 0:
             raise UsageError(f"{key} must be positive, got {cfg[key]}")
     unknown = [s for s in cfg["suites"] if s not in verify.SUITE_RUNNERS]
@@ -203,39 +189,13 @@ def cmd_verify(args) -> int:
             mark = "PASS" if case["pass"] else "FAIL"
             lines.append(f"[{mark}] {case['name']}: {case['actual']} ({case['inputs']})")
         summ = report["summary"]
-        timing = f" in {report.get('timing_ms', '?')} ms" if cfg["timing"] else ""
+        timing = f" in {report['timing_ms']} ms" if args.timing else ""
         lines.append(f"suite {report['suite']}: {summ['passed']}/{summ['total']} passed{timing}")
     lines.append(
         f"total: {result['summary']['passed']}/{result['summary']['total']} passed"
     )
     _emit(result, args, lines if args.emit == "table" else None)
     return 0 if result["summary"]["failed"] == 0 else 1
-
-
-def _apply_config_file(cfg, path):
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line: {raw.rstrip()}")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key == "type":
-                cfg["types"] = [value]
-            elif key == "suites":
-                cfg["suites"] = [s.strip() for s in value.split(",") if s.strip()]
-            elif key in ("bound", "trials", "seed", "cap_dim"):
-                cfg[key] = int(value)
-            elif key == "timing":
-                flag = value.lower()
-                if flag not in ("1", "true", "yes", "0", "false", "no"):
-                    raise UsageError(
-                        f"timing must be 1, true, yes, 0, false or no, got {value!r}"
-                    )
-                cfg["timing"] = flag in ("1", "true", "yes")
-            else:
-                raise UsageError(f"unknown config key {key!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,14 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to a file")
 
     p = sub.add_parser("rootsys", help="dump a root system")
-    p.add_argument("--type", required=True, help="series letter (with --rank) or combined token like A2")
-    p.add_argument("--rank", type=int, default=None)
+    p.add_argument("--type", required=True, help="type token such as A2 or G2")
     common(p)
     p.set_defaults(func=cmd_rootsys)
 
     p = sub.add_parser("char", help="irreducible character")
     p.add_argument("--type", required=True)
-    p.add_argument("--rank", type=int, default=None)
     p.add_argument("--weight", required=True, help="comma-separated dominant coordinates")
     p.add_argument("--algorithm", choices=["weyl", "freudenthal", "both"], default="both")
     common(p)
@@ -265,10 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homology", help="graded homology of a nilradical")
     p.add_argument("--type", required=True)
-    p.add_argument("--rank", type=int, default=None)
     p.add_argument("--weight", required=True)
     p.add_argument("--word", default="", help="simple-reflection word picking the positive system w(R+)")
-    p.add_argument("--cap-dim", type=int, default=verify.DEFAULT_DIM_CAP, dest="cap_dim")
     common(p)
     p.set_defaults(func=cmd_homology)
 
@@ -276,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", default=None, help="catalog JSON file")
     p.add_argument("--preset", choices=["sl2", "compact"], default=None)
     p.add_argument("--type", default=None, help="root system of --preset compact (default A1)")
-    p.add_argument("--rank", type=int, default=None, help="rank of --preset compact")
     p.add_argument("--bound", type=int, default=None,
                    help="weight bound of --preset sl2 and compact (default 3)")
     p.add_argument("--kind", choices=["elliptic", "homological", "multiplicity"], required=True)
@@ -289,10 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", default=None, help="restrict type-parametrized suites to one type")
     p.add_argument("--bound", type=int, default=verify.DEFAULT_BOUND)
     p.add_argument("--trials", type=int, default=verify.DEFAULT_TRIALS)
-    p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--timing", action="store_true", help="include timing in reports")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    p.add_argument("--cap-dim", type=int, default=verify.DEFAULT_DIM_CAP, dest="cap_dim")
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -32,12 +32,13 @@ from itertools import combinations
 from math import lcm
 
 from .characters import require_dominant, weyl_dimension
-from .charring import CharElement
+from .charring import CharElement, json_field, json_ints
 from .hwmodule import module_for, structure_constants
 from .linalg import sparse_int_rank
 from .rootsystem import CapExceededError, RootSystem, Weight
 
-DEFAULT_DIM_CAP = 2000
+# bound on dim V, the dimension of the module
+DIM_CAP = 2000
 # bound on dim V * 2^|R+|, the dimension of the whole chain complex
 COMPLEX_DIM_CAP = 1 << 16
 
@@ -82,11 +83,12 @@ class GradedHomology:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GradedHomology":
-        degrees = sorted(data["degrees"], key=lambda d: d["p"])
-        classes = tuple(CharElement.from_dict(d["class"]) for d in degrees)
-        ps = tuple(tuple(a) for a in data["positive_system"])
-        rank = classes[0].rank if classes else len(ps[0])
-        return cls(classes=classes, positive_system=ps, rank=rank)
+        degrees = sorted(json_field(data, "degrees", list), key=lambda d: json_field(d, "p", int))
+        if not degrees:
+            raise ValueError("JSON key 'degrees' must not be empty")
+        classes = tuple(CharElement.from_dict(json_field(d, "class", dict)) for d in degrees)
+        ps = json_ints(data, "positive_system", 2)
+        return cls(classes=classes, positive_system=ps, rank=classes[0].rank)
 
 
 def normalize_positive_system(positive_system, rs: RootSystem) -> tuple[Weight, ...]:
@@ -111,21 +113,14 @@ def normalize_positive_system(positive_system, rs: RootSystem) -> tuple[Weight, 
     return ps
 
 
-def koszul_n_homology(
-    lam: Weight,
-    positive_system,
-    rs: RootSystem,
-    cap_dim: int = DEFAULT_DIM_CAP,
-) -> GradedHomology:
+def koszul_n_homology(lam: Weight, positive_system, rs: RootSystem) -> GradedHomology:
     """Graded n-homology of the irreducible module V_lam, computed from the
     chain complex; n is spanned by the root spaces of the given system."""
     lam = tuple(lam)
     ps = normalize_positive_system(positive_system, rs)
     dim = weyl_dimension(lam, rs)
-    if dim > cap_dim:
-        raise CapExceededError(
-            f"module too large: dim V{lam} = {dim} exceeds cap {cap_dim}"
-        )
+    if dim > DIM_CAP:
+        raise CapExceededError(f"module too large: dim V{lam} = {dim} exceeds cap {DIM_CAP}")
     n_roots = len(ps)
     if dim << n_roots > COMPLEX_DIM_CAP:
         raise CapExceededError(

@@ -19,6 +19,8 @@ from math import comb, lcm
 from .charring import (
     CharElement,
     half_denominator,
+    json_field,
+    json_ints,
     root_product,
     torus_pairing,
     weyl_act,
@@ -31,6 +33,7 @@ from .rootsystem import (
     Weight,
     WeylElement,
     WeylSubgroup,
+    build_root_system,
     rho_shift,
     subgroup_from_generators,
     trivial_subgroup,
@@ -76,17 +79,11 @@ class PairContext:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PairContext":
-        from .rootsystem import build_root_system
-
-        if data["equal_rank"] is not True:
+        if json_field(data, "equal_rank", bool) is not True:
             raise ValueError("only equal-rank contexts are supported")
-        rs = build_root_system(data["series"], data["rank"])
-        w0 = subgroup_from_generators(rs, [tuple(tuple(r) for r in m) for m in data["w0"]])
-        return cls(
-            rs=rs,
-            positive_system=tuple(tuple(a) for a in data["positive_system"]),
-            w0=w0,
-        )
+        rs = build_root_system(json_field(data, "series", str), json_field(data, "rank", int))
+        w0 = subgroup_from_generators(rs, json_ints(data, "w0", 3))
+        return cls(rs=rs, positive_system=json_ints(data, "positive_system", 2), w0=w0)
 
 
 def compact_context(rs: RootSystem) -> PairContext:

@@ -392,7 +392,11 @@ def parse_type(token: str) -> RootSystem:
     token = token.strip()
     if not token or not token[0].isalpha():
         raise UnsupportedTypeError(f"unsupported type/rank: {token!r}; {_VALID_TYPES_MESSAGE}")
-    return build_root_system(token[0], token[1:] or -1)
+    if len(token) == 1:
+        raise UnsupportedTypeError(
+            f"unsupported type/rank: {token!r} has no rank; {_VALID_TYPES_MESSAGE}"
+        )
+    return build_root_system(token[0], token[1:])
 
 
 def enumerate_weyl_group(rs: RootSystem) -> WeylSubgroup:

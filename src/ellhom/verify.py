@@ -18,9 +18,9 @@ from .characters import (
     weyl_character,
     weyl_dimension,
 )
-from .charring import CharElement, half_denominator, torus_integral, weyl_act, weyl_denominator_full
+from .charring import CharElement, half_denominator, torus_integral, torus_pairing, weyl_act, weyl_denominator_full
 from .koszul import (
-    DEFAULT_DIM_CAP,
+    DIM_CAP,
     euler_class,
     euler_class_closed_form,
     kostant_homology,
@@ -76,7 +76,7 @@ def suite_schur(cfg) -> list[dict]:
         for lam in lams:
             for mu in lams:
                 delta = Fraction(1 if lam == mu else 0)
-                m = Fraction(torus_integral(dprod[lam] * chars[mu].conjugate()), rs.weyl_order)
+                m = Fraction(torus_pairing(dprod[lam], chars[mu]), rs.weyl_order)
                 e = elliptic_pairing(eulers[lam], eulers[mu], ctx)
                 h = homological_pairing(homs[lam], homs[mu], ctx)
                 if m != delta:
@@ -137,7 +137,7 @@ def suite_osborne(cfg) -> list[dict]:
         bad = 0
         count = 0
         for lam in dominant_box(rs.rank, bound):
-            gh = koszul_n_homology(lam, rs.positive_roots, rs, cap_dim=cfg["cap_dim"])
+            gh = koszul_n_homology(lam, rs.positive_roots, rs)
             count += 1
             if gh != kostant_homology(lam, rs) or euler_class(gh) != half * weyl_character(lam, rs):
                 bad += 1
@@ -187,11 +187,11 @@ def suite_antisym(cfg) -> list[dict]:
         bad_ii = 0
         checks = 0
         for lam in fam:
-            base = koszul_n_homology(lam, rs.positive_roots, rs, cap_dim=cfg["cap_dim"])
+            base = koszul_n_homology(lam, rs.positive_roots, rs)
             xi = euler_class(base)
             for w in group:
                 nw = tuple(sorted(w.act(a) for a in rs.positive_roots))
-                direct = koszul_n_homology(lam, nw, rs, cap_dim=cfg["cap_dim"])
+                direct = koszul_n_homology(lam, nw, rs)
                 checks += 1
                 moved = tuple(weyl_act(w, b) for b in base.classes)
                 if euler_class(direct) != antisym_transport(xi, w, ctx) or direct.classes != moved:
@@ -282,14 +282,13 @@ SUITES = tuple(SUITE_RUNNERS)
 
 def default_config() -> dict:
     """The config of a bare ``ellhom verify``: every suite on its default
-    types, bound, trials, seed and module-dimension cap, without timing."""
+    types, bound, trials and seed, without timing."""
     return {
         "types": None,
         "bound": DEFAULT_BOUND,
         "trials": DEFAULT_TRIALS,
         "seed": DEFAULT_SEED,
         "suites": list(SUITES),
-        "cap_dim": DEFAULT_DIM_CAP,
         "timing": False,
     }
 
@@ -328,7 +327,7 @@ def summarize(cfg, reports: list[dict]) -> dict:
             "trials": cfg["trials"],
             "suites": list(cfg["suites"]),
             "cap_weyl": WEYL_CAP,
-            "cap_dim": cfg["cap_dim"],
+            "cap_dim": DIM_CAP,
         },
         "seed": cfg["seed"],
         "reports": reports,

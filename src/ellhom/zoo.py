@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .charring import CharElement
+from .charring import CharElement, json_field
 from .koszul import GradedHomology, euler_class, kostant_homology
 from .pairings import PairContext, compact_context, split_rank_one_context
 from .rootsystem import RootSystem, Weight, build_root_system, dominant_box, rho_shift
@@ -207,19 +207,17 @@ class Catalog:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Catalog":
-        ctx = PairContext.from_dict(data["context"])
+        ctx = PairContext.from_dict(json_field(data, "context", dict))
         modules = []
-        for m in data["modules"]:
-            homology = (
-                GradedHomology.from_dict(m["homology"]) if m["homology"] is not None else None
-            )
+        for m in json_field(data, "modules", list):
+            homology = json_field(m, "homology", dict, type(None))
             modules.append(
                 VirtualModule(
-                    label=m["label"],
+                    label=json_field(m, "label", str),
                     ctx=ctx,
-                    euler=CharElement.from_dict(m["euler"]),
-                    homology=homology,
-                    provenance=m["provenance"],
+                    euler=CharElement.from_dict(json_field(m, "euler", dict)),
+                    homology=GradedHomology.from_dict(homology) if homology is not None else None,
+                    provenance=json_field(m, "provenance", str),
                 )
             )
         return cls(context=ctx, modules=tuple(modules))

@@ -3,12 +3,14 @@
 import argparse
 import json
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from ellhom import InternalConsistencyError, verify
+from ellhom import InternalConsistencyError, divide_exact, verify
 from ellhom.cli import build_parser, main
 
 
@@ -22,7 +24,7 @@ def run_cli(*argv):
 
 
 def test_rootsys_json_matches_interface(capsys):
-    assert main(["rootsys", "--type", "A", "--rank", "2"]) == 0
+    assert main(["rootsys", "--type", "A2"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out == {
         "series": "A",
@@ -41,9 +43,13 @@ def test_rootsys_g2(capsys):
 
 
 def test_rootsys_invalid_type_exits_2():
-    proc = run_cli("rootsys", "--type", "E", "--rank", "9")
+    proc = run_cli("rootsys", "--type", "E9")
     assert proc.returncode == 2
-    assert "unsupported type/rank" in proc.stderr
+    assert "unsupported type/rank: E9" in proc.stderr
+    # a series letter alone is named as typed, with its rank missing
+    proc = run_cli("rootsys", "--type", "A")
+    assert proc.returncode == 2
+    assert "unsupported type/rank: 'A' has no rank" in proc.stderr
 
 
 def test_char_command(capsys):
@@ -72,10 +78,10 @@ def test_char_bad_weight_exits_2():
     assert proc.returncode == 2
 
 
-def test_verify_rejects_nonpositive_caps():
-    proc = run_cli("verify", "--suite", "abelian", "--cap-dim", "0")
-    assert proc.returncode == 2
-    assert "must be positive" in proc.stderr
+def test_verify_rejects_nonpositive_caps(capsys):
+    for flag in ("--bound", "--trials"):
+        assert main(["verify", "--suite", "abelian", flag, "0"]) == 2
+        assert f"{flag[2:]} must be positive, got 0" in capsys.readouterr().err
 
 
 def test_homology_command(capsys):
@@ -97,6 +103,12 @@ def test_homology_word_letters_are_checked(capsys):
     for word in ("0,5", "-1"):
         assert main(["homology", "--type", "A2", "--weight", "1,0", f"--word={word}"]) == 2
         assert "simple reflection index" in capsys.readouterr().err
+
+
+def test_homology_module_cap_exits_2(capsys):
+    # dim V(12,12) = 2197 is over DIM_CAP, and 2197 * 2^3 is under the complex cap
+    assert main(["homology", "--type", "A2", "--weight", "12,12"]) == 2
+    assert "module too large: dim V(12, 12) = 2197 exceeds cap 2000" in capsys.readouterr().err
 
 
 def test_homology_complex_cap_exits_2(capsys):
@@ -150,9 +162,42 @@ def test_pairing_catalog_round_trip(tmp_path, capsys):
             assert r["value"] == ("1" if r["left"] == r["right"] else "0")
 
 
+def test_pairing_multiplicity_divides_once_per_module(monkeypatch, capsys):
+    calls = []
+
+    def counting(p, q, rs):
+        calls.append(p)
+        return divide_exact(p, q, rs)
+
+    monkeypatch.setattr("ellhom.cli.divide_exact", counting)
+    assert main(["pairing", "--preset", "compact", "--type", "B2", "--bound", "2", "--kind", "multiplicity"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(calls) == 9 and len(out["pairings"]) == 81
+    assert all(r["value"] == ("1" if r["left"] == r["right"] else "0") for r in out["pairings"])
+
+
+def test_malformed_catalogs_are_usage_errors(tmp_path):
+    good = tmp_path / "good.json"
+    assert main(["pairing", "--preset", "sl2", "--bound", "1", "--kind", "elliptic",
+                 "--save-catalog", str(good)]) == 0
+    no_homology = json.loads(good.read_text())
+    del no_homology["modules"][0]["homology"]
+    bad_w0 = json.loads(good.read_text())
+    bad_w0["context"]["w0"] = [["x"]]
+    cases = (({"modules": []}, "'context'"), ([1, 2], "'context'"),
+             (no_homology, "'homology'"), (bad_w0, "'w0'"))
+    for data, key in cases:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        proc = run_cli("pairing", "--catalog", str(path), "--kind", "elliptic")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and key in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv,flag,source", [
-    (["--preset", "sl2", "--type", "E8", "--rank", "3", "--bound", "1"], "type", "--preset sl2"),
-    (["--preset", "sl2", "--rank", "3"], "rank", "--preset sl2"),
+    (["--preset", "sl2", "--type", "E8", "--bound", "1"], "type", "--preset sl2"),
+    (["--preset", "sl2", "--type", "A1"], "type", "--preset sl2"),
     (["--catalog", "cat.json", "--preset", "compact"], "preset", "--catalog"),
     (["--catalog", "cat.json", "--type", "A2"], "type", "--catalog"),
     (["--catalog", "cat.json", "--bound", "2"], "bound", "--catalog"),
@@ -191,13 +236,9 @@ def test_verify_unknown_suite_exits_2():
     assert "unknown suites" in proc.stderr
 
 
-def test_verify_unsupported_type_exits_2(tmp_path, capsys):
-    # the type is checked before any suite runs, from the flag and the file
+def test_verify_unsupported_type_exits_2(capsys):
+    # the type is checked before any suite runs
     assert main(["verify", "--suite", "weyldenom", "--type", "Z9"]) == 2
-    assert "unsupported type/rank" in capsys.readouterr().err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("type = Z9\nsuites = weyldenom\n")
-    assert main(["verify", "--config", str(cfg)]) == 2
     assert "unsupported type/rank" in capsys.readouterr().err
 
 
@@ -254,34 +295,9 @@ def test_verify_reports_are_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_verify_config_file(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "# compact fuzz, one type\n"
-        "type = A1\n"
-        "suites = kazhdan\n"
-        "trials = 25\n"
-        "seed = 99\n"
-    )
-    assert main(["verify", "--config", str(cfg)]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["seed"] == 99
-    assert out["config"]["trials"] == 25
-    assert out["config"]["types"] == ["A1"]
-    # the Weyl cap is fixed, so it is not a config key
-    cfg.write_text("cap_weyl = 5\n")
-    assert main(["verify", "--config", str(cfg)]) == 2
-    assert "unknown config key 'cap_weyl'" in capsys.readouterr().err
-
-
-def test_verify_config_timing_values(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("suites = abelian\ntiming = on\n")
-    assert main(["verify", "--config", str(cfg)]) == 2
-    assert "timing must be" in capsys.readouterr().err
-    # a timing flag from the file reaches the table line too
-    cfg.write_text("suites = abelian\ntiming = true\n")
-    assert main(["verify", "--config", str(cfg), "--emit", "table"]) == 0
+def test_verify_timing_table_line(capsys):
+    # --timing reaches the table line of each suite
+    assert main(["verify", "--suite", "abelian", "--timing", "--emit", "table"]) == 0
     text = capsys.readouterr().out
     assert re.search(r"^suite abelian: \d+/\d+ passed in \d+ ms$", text, re.M)
 
@@ -307,6 +323,9 @@ def test_internal_error_outside_verify_exits_3(monkeypatch, capsys, error):
     ["rootsys", "--type", "A2", "--seed", "7"],
     ["char", "--type", "A2", "--weight", "1,0", "--cap-dim", "5"],
     ["verify", "--suite", "abelian", "--cap-weyl", "5"],
+    ["rootsys", "--type", "A", "--rank", "2"],
+    ["homology", "--type", "A2", "--weight", "1,0", "--cap-dim", "5"],
+    ["verify", "--suite", "abelian", "--config", "f"],
 ])
 def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -339,6 +358,23 @@ def test_every_declared_flag_is_read():
         assert args.func(Recording(**vars(args))) == 0
         declared = {a.dest for a in commands.choices[command]._actions} - {"help"}
         assert declared <= read, (command, sorted(declared - read))
+
+
+def test_readme_examples_parse():
+    # every `ellhom ...` line of the README's command-line block, with its
+    # backslash continuations joined, parses; none is run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("ellhom ")]
+    assert len(lines) >= 5
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
 
 
 def test_out_writes_file(tmp_path):

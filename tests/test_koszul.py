@@ -119,8 +119,11 @@ def test_input_validation(a2):
 
 
 def test_dimension_cap(a2):
+    # dim V(12,12) = 2197 > DIM_CAP, while 2197 * 2^3 is under COMPLEX_DIM_CAP,
+    # so the module cap is the one that fires
+    assert ellhom.koszul.DIM_CAP < 2197 and 2197 * 8 <= ellhom.koszul.COMPLEX_DIM_CAP
     with pytest.raises(CapExceededError, match="module too large"):
-        koszul_n_homology((3, 3), a2.positive_roots, a2, cap_dim=10)
+        koszul_n_homology((12, 12), a2.positive_roots, a2)
 
 
 def test_complex_cap_bounds_the_whole_complex(monkeypatch):
