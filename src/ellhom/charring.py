@@ -335,8 +335,11 @@ def weyl_denominator_full(rs: RootSystem) -> CharElement:
 
 
 def half_denominator(rs: RootSystem) -> CharElement:
-    """prod over positive roots of (1 - e^alpha)."""
-    return root_product(rs.positive_roots, rs.rank)
+    """prod over positive roots of (1 - e^alpha), expanded once per root
+    system and kept on it."""
+    if rs._half_denominator is None:
+        rs._half_denominator = root_product(rs.positive_roots, rs.rank)
+    return rs._half_denominator
 
 
 def divide_exact(p: CharElement, q: CharElement, rs: RootSystem) -> CharElement:

@@ -10,6 +10,24 @@ splits it by torus weight, and computes exact integer ranks per weight per
 degree. It is the ground-truth oracle: it uses only the module matrices and
 structure constants from hwmodule, never a character-level closed form.
 
+The complex is assembled one torus weight mu at a time: every degree of
+C_.(mu) is built together, so only one small subcomplex is alive at once.
+The rows of the d_p block of mu are the basis vectors of C_p(mu), and its
+columns are their boundary coordinates in C_{p-1}(mu). Before the rank of
+the d_p block is taken, two deletions are made by shape alone, each picked
+by linalg.triangular_pick (kept rows with one fresh column each, which form
+a triangular submatrix with nonzero diagonal):
+
+- (a) delete the rows labelled by the columns picked in the d_{p+1} block.
+  im d_{p+1} reaches those coordinates, so C_p = im d_{p+1} + span(the
+  other rows), and d_p d_{p+1} = 0 keeps the rank.
+- (b) delete the columns labelled by the rows picked in the reduced d_{p-1}
+  block. Their images are independent, so the deletion is injective on
+  ker d_{p-1}, which contains im d_p, and keeps the rank.
+
+Both are exact with no arithmetic and no certificate, and sparse_int_rank
+stays the only rank routine.
+
 The operator matrices and bracket constants are rational; hwmodule holds
 each as integer numerators over one denominator. Each call takes one common
 denominator D (the lcm of those denominators) and assembles D*d, which is
@@ -34,7 +52,7 @@ from math import lcm
 from .characters import require_dominant, weyl_dimension
 from .charring import CharElement, json_field, json_ints
 from .hwmodule import module_for, structure_constants
-from .linalg import sparse_int_rank
+from .linalg import sparse_int_rank, triangular_pick
 from .rootsystem import CapExceededError, RootSystem, Weight
 
 # bound on dim V, the dimension of the module
@@ -164,23 +182,20 @@ def koszul_n_homology(lam: Weight, positive_system, rs: RootSystem) -> GradedHom
             int_op[v] = (tuple(image), vals, tuple(-x for x in vals))
         int_ops.append(int_op)
 
-    dims: dict[tuple[int, Weight], int] = {}
-    ranks: dict[tuple[int, Weight], int] = {}
-    homology: list[dict[Weight, int]] = [dict() for _ in range(n_roots + 1)]
-
-    lower_index: dict[tuple[int, ...], int] = {}
+    # everything that depends only on a wedge subset, for every degree at
+    # once: (degree, first label, x_a v terms, bracket terms, weight); a
+    # basis vector (S, v) of degree p is the integer index(S) * dim + v
+    tables = []
+    index_in_degree: dict[tuple[int, ...], int] = {}
     for p in range(n_roots + 1):
-        subsets = list(combinations(range(n_roots), p))
-        # columns of the boundary map out of degree p, grouped by total weight;
-        # a basis vector (S, v) of degree p - 1 is the integer index(S) * dim + v
-        blocks: dict[Weight, list[dict[int, int]]] = {}
-        for subset in subsets:
+        for i, subset in enumerate(combinations(range(n_roots), p)):
+            index_in_degree[subset] = i
             sub_weight = [0] * rs.rank
             for a in subset:
                 sub_weight = [x + y for x, y in zip(sub_weight, ps[a])]
             # x_a v terms: (operator of x_a, start of the omitted subset, odd sign)
             op_terms = [
-                (int_ops[a], lower_index[subset[:pos] + subset[pos + 1:]] * dim, pos % 2)
+                (int_ops[a], index_in_degree[subset[:pos] + subset[pos + 1:]] * dim, pos % 2)
                 for pos, a in enumerate(subset)
             ]
             # bracket terms: (start of the target subset, scaled coefficient)
@@ -198,38 +213,77 @@ def koszul_n_homology(lam: Weight, positive_system, rs: RootSystem) -> GradedHom
                     ins = sum(1 for x in rest if x < m_idx)
                     sgn = -1 if (pa + pb + ins) % 2 == 0 else 1
                     target = tuple(sorted(rest + (m_idx,)))
-                    br_terms.append((lower_index[target] * dim, sgn * c))
-            # distinct terms of one column land on distinct basis vectors:
-            # the omitted root, or the pair {a, b} and the root a + b, is
-            # recovered from the target subset, so no entry ever cancels
-            for w in weights:
-                total = tuple(x + y for x, y in zip(sub_weight, w))
-                space = spaces[w]
-                dims[(p, total)] = dims.get((p, total), 0) + len(space)
-                cols = blocks.setdefault(total, [])
-                for v in space:
-                    col: dict[int, int] = {}
-                    for int_op, base, odd in op_terms:
-                        image = int_op.get(v)
-                        if image is not None:
-                            targets, vals, negs = image
-                            col.update(zip([base + t for t in targets], negs if odd else vals))
-                    for base, c in br_terms:
-                        col[base + v] = c
-                    if col:
-                        cols.append(col)
-        lower_index = {subset: i for i, subset in enumerate(subsets)}
-        for total, cols in blocks.items():
-            # the rank of the transpose equals the rank; columns become rows
-            if cols:
-                ranks[(p, total)] = sparse_int_rank(cols)
+                    br_terms.append((index_in_degree[target] * dim, sgn * c))
+            tables.append((p, i * dim, op_terms, br_terms, sub_weight))
+    # (subset, module weight) pairs grouped by total weight in one pass; each
+    # group lists degree by degree, subsets in order, weights sorted
+    by_total: dict[Weight, list] = {}
+    for p, start, op_terms, br_terms, sub_weight in tables:
+        for w in weights:
+            total = tuple([x + y for x, y in zip(sub_weight, w)])
+            by_total.setdefault(total, []).append((p, start, op_terms, br_terms, spaces[w]))
 
-    for (p, total), d in dims.items():
-        h = d - ranks.get((p, total), 0) - ranks.get((p + 1, total), 0)
-        if h < 0:
-            raise AssertionError("negative homology dimension; rank computation is wrong")
-        if h:
-            homology[p][total] = h
+    homology: list[dict[Weight, int]] = [dict() for _ in range(n_roots + 1)]
+    for total, entries in by_total.items():
+        # chain[p]: labels of the basis vectors of C_p(total), and their
+        # boundaries {label in degree p - 1: entry}; only the degrees p
+        # with C_p(total) != 0 appear, in increasing order
+        chain: dict[int, tuple[list[int], list[dict[int, int]]]] = {}
+        for p, start, op_terms, br_terms, space in entries:
+            basis = chain.get(p)
+            if basis is None:
+                basis = chain[p] = ([], [])
+            basis[0].extend(range(start + space.start, start + space.stop))
+            block = basis[1]
+            for v in space:
+                col: dict[int, int] = {}
+                # distinct terms of one column land on distinct basis vectors:
+                # the omitted root, or the pair {a, b} and the root a + b, is
+                # recovered from the target subset, so no entry ever cancels
+                for int_op, base, odd in op_terms:
+                    image = int_op.get(v)
+                    if image is not None:
+                        targets, vals, negs = image
+                        col.update(zip([base + t for t in targets], negs if odd else vals))
+                for base, c in br_terms:
+                    col[base + v] = c
+                block.append(col)
+        ranks: dict[int, int] = {}
+        # labels of degree p - 1 picked as rows of the reduced d_{p-1} block
+        picked: set[int] = set()
+        for p, (labels, block) in chain.items():
+            if p - 1 not in chain:
+                # d_p is zero here, and no row of it is picked
+                picked = set()
+                continue
+            # (a) im d_{p+1} reaches the columns picked in the d_{p+1} block,
+            # so those basis vectors of C_p add nothing to im d_p
+            upper = chain.get(p + 1)
+            reached = {c for _, c in triangular_pick(upper[1])} if upper else ()
+            # (b) the images of the rows picked in d_{p-1} are independent, so
+            # dropping their coordinates is injective on ker d_{p-1}, which
+            # contains im d_p
+            kept_labels = []
+            rows = []
+            for label, col in zip(labels, block):
+                if label in reached:
+                    continue
+                if not picked.isdisjoint(col):
+                    col = {c: x for c, x in col.items() if c not in picked}
+                if col:
+                    kept_labels.append(label)
+                    rows.append(col)
+            # only a nonzero d_{p+1} reads the rows picked here
+            picked = {kept_labels[i] for i, _ in triangular_pick(rows)} if upper else set()
+            # the rank of the transpose equals the rank; columns become rows
+            if rows:
+                ranks[p] = sparse_int_rank(rows)
+        for p, (labels, _) in chain.items():
+            h = len(labels) - ranks.get(p, 0) - ranks.get(p + 1, 0)
+            if h < 0:
+                raise AssertionError("negative homology dimension; rank computation is wrong")
+            if h:
+                homology[p][total] = h
     return GradedHomology(
         classes=tuple(CharElement(rs.rank, hp) for hp in homology),
         positive_system=ps,

@@ -2,7 +2,8 @@
 
 Everything here is fraction-free: a rational result is integer numerators
 over one denominator. No floating point anywhere, so ranks and echelon
-forms are exact by construction.
+forms are exact by construction. triangular_pick reads no entry at all,
+only where the nonzero entries are.
 """
 
 from __future__ import annotations
@@ -71,6 +72,29 @@ def sparse_int_rank(rows: list[dict[int, int]]) -> int:
                 for c in row:
                     row[c] //= g
     return rank
+
+
+def triangular_pick(rows: list[dict[int, int]]) -> list[tuple[int, int]]:
+    """Shape-only pick on sparse rows {column: entry}: visit the rows
+    shortest first (ties in row order) and keep a row when it has a column
+    that no kept row has; the first such column is its pick. Returns the
+    (row index, picked column) pairs in pick order.
+
+    A kept row has no entry in the picked column of any row kept after it,
+    so the kept rows restricted to the picked columns form a triangular
+    matrix with nonzero diagonal: the kept rows are independent, and so are
+    their restrictions to the picked columns. Only the shape is read.
+    """
+    covered: set[int] = set()
+    picks = []
+    for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
+        row = rows[i]
+        for c in row:
+            if c not in covered:
+                picks.append((i, c))
+                covered.update(row)
+                break
+    return picks
 
 
 def int_rref(matrix) -> tuple[list[list[int]], list[int], int]:

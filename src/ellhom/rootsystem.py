@@ -215,6 +215,7 @@ class RootSystem:
         self._weyl_group: WeylSubgroup | None = None
         self._module_cache: dict[Weight, object] = {}
         self._bracket_cache = None
+        self._half_denominator = None
 
     # -- construction helpers -------------------------------------------------
 

@@ -208,8 +208,11 @@ class Catalog:
     @classmethod
     def from_dict(cls, data: dict) -> "Catalog":
         ctx = PairContext.from_dict(json_field(data, "context", dict))
+        entries = json_field(data, "modules", list)
+        if not entries:
+            raise ValueError("JSON key 'modules' must not be empty")
         modules = []
-        for m in json_field(data, "modules", list):
+        for m in entries:
             homology = json_field(m, "homology", dict, type(None))
             modules.append(
                 VirtualModule(

@@ -184,8 +184,10 @@ def test_malformed_catalogs_are_usage_errors(tmp_path):
     del no_homology["modules"][0]["homology"]
     bad_w0 = json.loads(good.read_text())
     bad_w0["context"]["w0"] = [["x"]]
+    no_modules = json.loads(good.read_text())
+    no_modules["modules"] = []
     cases = (({"modules": []}, "'context'"), ([1, 2], "'context'"),
-             (no_homology, "'homology'"), (bad_w0, "'w0'"))
+             (no_homology, "'homology'"), (bad_w0, "'w0'"), (no_modules, "'modules'"))
     for data, key in cases:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))

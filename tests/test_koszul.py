@@ -80,7 +80,8 @@ def test_three_way_euler_identity(token, lam):
 
 @pytest.mark.parametrize(
     "token,lam",
-    [("A1", (1,)), ("A2", (1, 0)), ("A2", (1, 1)), ("B2", (0, 1)), ("G2", (1, 0))],
+    [("A1", (1,)), ("A2", (1, 0)), ("A2", (1, 1)), ("B2", (0, 1)), ("G2", (1, 0)),
+     ("G2", (1, 2))],
 )
 def test_per_degree_closed_form_matches_oracle(token, lam):
     rs = parse_type(token)

@@ -1,5 +1,6 @@
 """Exact sparse integer rank against an independent Fraction elimination,
-and the fraction-free reduced echelon form against its defining properties.
+the fraction-free reduced echelon form against its defining properties, and
+the shape-only triangular pick against the rank.
 
 The reference below is textbook Gaussian elimination over Q on a dense
 copy, written here so it shares no code with ellhom.linalg.
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from ellhom.linalg import int_rref, sparse_int_rank
+from ellhom.linalg import int_rref, sparse_int_rank, triangular_pick
 
 
 def reference_rank(rows, n_cols):
@@ -77,6 +78,24 @@ def test_sparse_int_rank_small_cases():
     assert sparse_int_rank([{0: 2, 5: 3}, {5: 7}, {0: 1}]) == 2
     # columns are arbitrary integer labels, not positions
     assert sparse_int_rank([{10**9: 1}, {-7: 1}]) == 2
+
+
+@given(data=sparse_matrices())
+@settings(max_examples=300, deadline=None)
+def test_triangular_pick_keeps_independent_rows(data):
+    rows, n_cols = data
+    picks = triangular_pick(rows)
+    kept = [rows[i] for i, _ in picks]
+    columns = [c for _, c in picks]
+    assert len({i for i, _ in picks}) == len(picks)
+    assert all(c in rows[i] for i, c in picks)
+    # the kept rows are independent, and stay so on the picked columns
+    assert sparse_int_rank(kept) == len(picks) == reference_rank(kept, n_cols)
+    on_picked = [{c: r[c] for c in columns if c in r} for r in kept]
+    assert sparse_int_rank(on_picked) == len(picks)
+    # a row left out has no column outside the kept rows
+    covered = set().union(*kept)
+    assert all(set(r) <= covered for r in rows)
 
 
 @given(data=sparse_matrices())

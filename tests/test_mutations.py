@@ -26,6 +26,21 @@ def _rank_minus_one(mp):
     mp.setattr(pairings, "sparse_int_rank", faulty)
 
 
+def _pick_over_select(mp):
+    """The shape-only pick koszul reads also keeps the first row it left
+    out, paired with that row's first column, which breaks the triangular
+    shape both of koszul's deletions rely on."""
+    original = koszul.triangular_pick
+
+    def faulty(rows):
+        picks = original(rows)
+        kept = {i for i, _ in picks}
+        extra = [(i, next(iter(r))) for i, r in enumerate(rows) if r and i not in kept][:1]
+        return picks + extra
+
+    mp.setattr(koszul, "triangular_pick", faulty)
+
+
 def _bracket_sign(mp):
     """[x_a, x_b] and [x_b, x_a] flip sign for the first pair of positive
     roots whose sum is a root (rank one has none), in the table koszul
@@ -113,6 +128,7 @@ def _torus_conjugation(mp):
 
 FAULTS = {
     "rank - 1": _rank_minus_one,
+    "pick over-selects": _pick_over_select,
     "bracket sign": _bracket_sign,
     "rho_shift + 1": _rho_shift_off_by_one,
     "dual_class shift": _dual_shift,

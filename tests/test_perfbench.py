@@ -1,6 +1,8 @@
-"""The traced benchmark wraps ``ellhom`` functions by module attribute
-name, so a renamed or dropped binding would break ``perfbench/run.py
---trace 1``. Installing the tracer in a fresh interpreter catches that."""
+"""The benchmark wraps ``ellhom`` functions by module attribute name: the
+tracer for ``perfbench/run.py --trace 1`` and the faults for
+``perfbench/selftest.py``. A renamed or dropped binding, or a rank taken
+around the wrapped one, would break them; a fresh interpreter that installs
+the tracer, or plants the rank fault, catches that."""
 
 import os
 import subprocess
@@ -10,12 +12,37 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_tracer_installs_on_every_listed_binding():
+def _perfbench_env():
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_tracer_installs_on_every_listed_binding():
     proc = subprocess.run(
         [sys.executable, "-c", "import tracer; tracer.install()"],
-        env=env,
+        env=_perfbench_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_rank_fault_reaches_the_oracle():
+    # perfbench/faults.py plants its rank fault on the sparse_int_rank
+    # bindings; if koszul took its ranks another way, the benchmark's
+    # self-test would lose the fault without noticing
+    script = (
+        "import faults\n"
+        "from ellhom import koszul, rootsystem\n"
+        "faults.plant('rank')\n"
+        "rs = rootsystem.parse_type('A2')\n"
+        "gh = koszul.koszul_n_homology((1, 1), rs.positive_roots, rs)\n"
+        "assert gh != koszul.kostant_homology((1, 1), rs), 'the rank fault changed nothing'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=_perfbench_env(),
         capture_output=True,
         text=True,
         timeout=120,
