@@ -175,16 +175,25 @@ class CharElement:
     __rmul__ = __mul__
 
     def shift(self, mu: Weight, coeff: int = 1) -> "CharElement":
-        """Multiplication by coeff * e^mu."""
+        """Multiplication by coeff * e^mu.
+
+        Column-wise, as in ``weyl_act``: coordinate j of every shifted
+        weight at once is column j of the weights plus mu_j, added with
+        map() and skipped where mu_j = 0."""
         if len(mu) != self.rank:
             raise ValueError(f"weight {mu} does not have rank {self.rank}")
         if type(coeff) is not int:
             raise ValueError(f"coefficient {coeff!r} is not an int")
         if coeff == 0:
             return CharElement.zero(self.rank)
-        return CharElement._of(
-            self.rank, {tuple(map(add, nu, mu)): c * coeff for nu, c in self.terms.items()}
-        )
+        terms = self.terms
+        cols = [
+            map(add, col, repeat(m)) if m else col for col, m in zip(zip(*terms), mu)
+        ]
+        # with no columns (rank 0 or no terms) the keys are terms' own
+        keys = zip(*cols) if cols else terms
+        values = terms.values() if coeff == 1 else map(mul, terms.values(), repeat(coeff))
+        return CharElement._of(self.rank, dict(zip(keys, values)))
 
     def conjugate(self) -> "CharElement":
         """Complex conjugation on the compact torus: e^mu -> e^-mu."""
@@ -330,8 +339,11 @@ def root_product(roots, rank: int) -> CharElement:
 
 
 def weyl_denominator_full(rs: RootSystem) -> CharElement:
-    """D = prod over all roots of (1 - e^alpha)."""
-    return root_product(rs.full_roots, rs.rank)
+    """D = prod over all roots of (1 - e^alpha), expanded once per root
+    system and kept on it."""
+    if rs._full_denominator is None:
+        rs._full_denominator = root_product(rs.full_roots, rs.rank)
+    return rs._full_denominator
 
 
 def half_denominator(rs: RootSystem) -> CharElement:

@@ -10,6 +10,12 @@ splits it by torus weight, and computes exact integer ranks per weight per
 degree. It is the ground-truth oracle: it uses only the module matrices and
 structure constants from hwmodule, never a character-level closed form.
 
+A GradedHomology is one sparse map {(p, mu): dim H_p[mu]} over (degree,
+weight), the graded character sum_p t^p ch H_p; its Euler class is the value
+at t = -1, one signed fold over the map. Sums and integer multiples, the
+Grothendieck-group arithmetic of virtual modules, are one dict merge or one
+dict comprehension; the per-degree CharElements are derived on demand.
+
 The complex is assembled one torus weight mu at a time: every degree of
 C_.(mu) is built together, so only one small subcomplex is alive at once.
 The rows of the d_p block of mu are the basis vectors of C_p(mu), and its
@@ -45,7 +51,6 @@ are, with no per-weight offsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import lcm
 
@@ -61,35 +66,93 @@ DIM_CAP = 2000
 COMPLEX_DIM_CAP = 1 << 16
 
 
-@dataclass(frozen=True)
 class GradedHomology:
-    """T-characters of H_p(n, V) for p = 0..|R+|, with the chosen n."""
+    """The graded character sum_p t^p ch H_p(n, V), p = 0..degrees-1, with
+    the chosen n, stored as one sparse map terms {(p, mu): dim H_p[mu]}
+    (nonzero int entries only). Immutable and hashable; two are equal when
+    their degree counts, positive systems, ranks and terms are.
 
-    classes: tuple[CharElement, ...]
-    positive_system: tuple[Weight, ...]
-    rank: int
+    ``classes`` is the per-degree view, a tuple of CharElements derived
+    once and cached."""
 
-    def degree(self, p: int) -> CharElement:
-        if 0 <= p < len(self.classes):
-            return self.classes[p]
-        return CharElement.zero(self.rank)
+    __slots__ = ("terms", "degrees", "positive_system", "rank", "_classes")
+
+    def __init__(self, classes, positive_system, rank: int):
+        terms: dict[tuple[int, Weight], int] = {}
+        for p, cls in enumerate(classes):
+            if not isinstance(cls, CharElement) or cls.rank != rank:
+                raise ValueError(f"degree {p} is not a character of rank {rank}")
+            terms.update(((p, mu), c) for mu, c in cls.terms.items())
+        self._set(terms, len(classes), tuple(positive_system), rank)
+
+    def _set(self, terms, degrees, positive_system, rank):
+        set_slot = object.__setattr__
+        set_slot(self, "terms", terms)
+        set_slot(self, "degrees", degrees)
+        set_slot(self, "positive_system", positive_system)
+        set_slot(self, "rank", rank)
+        set_slot(self, "_classes", None)
+
+    @classmethod
+    def _of(cls, terms, degrees: int, positive_system, rank: int) -> "GradedHomology":
+        """The trusted constructor for arithmetic results: wraps terms
+        without validating them. The caller guarantees keys (p, mu) with
+        0 <= p < degrees and mu of length rank, and nonzero int values."""
+        res = cls.__new__(cls)
+        res._set(terms, degrees, positive_system, rank)
+        return res
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GradedHomology is immutable; cannot set {name!r}")
+
+    @property
+    def classes(self) -> tuple[CharElement, ...]:
+        if self._classes is None:
+            per_degree: list[dict[Weight, int]] = [{} for _ in range(self.degrees)]
+            for (p, mu), c in self.terms.items():
+                per_degree[p][mu] = c
+            classes = tuple(CharElement._of(self.rank, d) for d in per_degree)
+            object.__setattr__(self, "_classes", classes)
+        return self._classes
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GradedHomology):
+            return NotImplemented
+        return (
+            self.degrees == other.degrees
+            and self.positive_system == other.positive_system
+            and self.rank == other.rank
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.degrees, self.positive_system, self.rank, frozenset(self.terms.items())))
+
+    def __repr__(self) -> str:
+        return f"GradedHomology(classes={self.classes!r}, positive_system={self.positive_system!r})"
 
     def __add__(self, other: "GradedHomology") -> "GradedHomology":
+        if not isinstance(other, GradedHomology):
+            return NotImplemented
         if self.positive_system != other.positive_system:
             raise ValueError("positive-system mismatch between graded homologies")
-        n = max(len(self.classes), len(other.classes))
-        return GradedHomology(
-            classes=tuple(self.degree(p) + other.degree(p) for p in range(n)),
-            positive_system=self.positive_system,
-            rank=self.rank,
+        out = dict(self.terms)
+        get = out.get
+        for key, c in other.terms.items():
+            v = get(key, 0) + c
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+        return GradedHomology._of(
+            out, max(self.degrees, other.degrees), self.positive_system, self.rank
         )
 
     def scale(self, c: int) -> "GradedHomology":
-        return GradedHomology(
-            classes=tuple(cls * c for cls in self.classes),
-            positive_system=self.positive_system,
-            rank=self.rank,
-        )
+        if not isinstance(c, int):
+            raise TypeError(f"scale factor {c!r} is not an int")
+        terms = {key: v * c for key, v in self.terms.items()} if c else {}
+        return GradedHomology._of(terms, self.degrees, self.positive_system, self.rank)
 
     def to_dict(self) -> dict:
         return {
@@ -223,7 +286,7 @@ def koszul_n_homology(lam: Weight, positive_system, rs: RootSystem) -> GradedHom
             total = tuple([x + y for x, y in zip(sub_weight, w)])
             by_total.setdefault(total, []).append((p, start, op_terms, br_terms, spaces[w]))
 
-    homology: list[dict[Weight, int]] = [dict() for _ in range(n_roots + 1)]
+    homology: dict[tuple[int, Weight], int] = {}
     for total, entries in by_total.items():
         # chain[p]: labels of the basis vectors of C_p(total), and their
         # boundaries {label in degree p - 1: entry}; only the degrees p
@@ -283,20 +346,22 @@ def koszul_n_homology(lam: Weight, positive_system, rs: RootSystem) -> GradedHom
             if h < 0:
                 raise AssertionError("negative homology dimension; rank computation is wrong")
             if h:
-                homology[p][total] = h
-    return GradedHomology(
-        classes=tuple(CharElement(rs.rank, hp) for hp in homology),
-        positive_system=ps,
-        rank=rs.rank,
-    )
+                homology[p, total] = h
+    return GradedHomology._of(homology, n_roots + 1, ps, rs.rank)
 
 
 def euler_class(gh: GradedHomology) -> CharElement:
-    """Alternating sum of the graded classes."""
-    out = CharElement.zero(gh.rank)
-    for p, cls in enumerate(gh.classes):
-        out = out - cls if p % 2 else out + cls
-    return out
+    """The graded character at t = -1: sum_p (-1)^p ch H_p, one signed fold
+    over the terms."""
+    out: dict[Weight, int] = {}
+    get = out.get
+    for (p, mu), c in gh.terms.items():
+        v = get(mu, 0) + (-c if p & 1 else c)
+        if v:
+            out[mu] = v
+        else:
+            del out[mu]
+    return CharElement._of(gh.rank, out)
 
 
 def euler_class_closed_form(lam: Weight, rs: RootSystem) -> CharElement:
@@ -315,13 +380,8 @@ def kostant_homology(lam: Weight, rs: RootSystem) -> GradedHomology:
     require_dominant(lam, rs)
     lam_rho = tuple(x + 1 for x in lam)
     n = len(rs.positive_roots)
-    degrees: list[dict[Weight, int]] = [dict() for _ in range(n + 1)]
+    terms: dict[tuple[int, Weight], int] = {}
     for w in rs.weyl_group():
-        mu = tuple(x + 1 for x in w.act(lam_rho))
-        deg = n - w.length
-        degrees[deg][mu] = degrees[deg].get(mu, 0) + 1
-    return GradedHomology(
-        classes=tuple(CharElement(rs.rank, d) for d in degrees),
-        positive_system=tuple(sorted(rs.positive_roots)),
-        rank=rs.rank,
-    )
+        key = (n - w.length, tuple(x + 1 for x in w.act(lam_rho)))
+        terms[key] = terms.get(key, 0) + 1
+    return GradedHomology._of(terms, n + 1, tuple(sorted(rs.positive_roots)), rs.rank)

@@ -26,7 +26,7 @@ from .charring import (
     weyl_act,
     weyl_denominator_full,
 )
-from .koszul import GradedHomology, normalize_positive_system
+from .koszul import GradedHomology, euler_class, normalize_positive_system
 from .linalg import sparse_int_rank
 from .rootsystem import (
     RootSystem,
@@ -141,21 +141,17 @@ def elliptic_pairing(xi_u: CharElement, xi_v: CharElement, ctx: PairContext) -> 
 
 def homological_pairing(h_u: GradedHomology, h_v: GradedHomology, ctx: PairContext) -> Fraction:
     """(1/[W0]) * sum_{p,q} (-1)^{p+q} dim Hom_T(H_p, H_q), the Hom count
-    being the coefficientwise product sum of the two torus characters."""
+    being the coefficientwise product sum of the two torus characters.
+
+    The double sum is bilinear, so it is reordered: each side's degrees are
+    first folded with their signs, weight by weight (sum_p (-1)^p ch H_p,
+    ``euler_class``), and the two folds are paired with one torus_pairing
+    call. The value is the same exact integer as the sum over degree pairs."""
     if h_u.positive_system != h_v.positive_system:
         raise ValueError("positive-system mismatch between the two homologies")
     if h_u.positive_system != ctx.positive_system:
         raise ValueError("homologies are not over the context's positive system")
-    total = 0
-    for p, hp in enumerate(h_u.classes):
-        if hp.is_zero():
-            continue
-        for q, hq in enumerate(h_v.classes):
-            if hq.is_zero():
-                continue
-            term = torus_pairing(hp, hq)
-            total += term if (p + q) % 2 == 0 else -term
-    return Fraction(total, ctx.w0_order)
+    return Fraction(torus_pairing(euler_class(h_u), euler_class(h_v)), ctx.w0_order)
 
 
 def ext_abelian_graded(nu, d: int) -> list[int]:

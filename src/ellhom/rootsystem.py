@@ -216,6 +216,7 @@ class RootSystem:
         self._module_cache: dict[Weight, object] = {}
         self._bracket_cache = None
         self._half_denominator = None
+        self._full_denominator = None
 
     # -- construction helpers -------------------------------------------------
 

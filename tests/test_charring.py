@@ -94,6 +94,17 @@ def test_shift_by_zero_coefficient_is_zero():
     assert x == CharElement.zero(2)
 
 
+@given(data=st.data(), rank=st.integers(0, 4), coeff=st.integers(-3, 3))
+@settings(max_examples=150, deadline=None)
+def test_shift_matches_a_per_term_reference(data, rank, coeff):
+    a = data.draw(char_elements(rank))
+    mu = data.draw(weights(rank))
+    reference = {
+        tuple(x + m for x, m in zip(nu, mu)): c * coeff for nu, c in a.terms.items() if coeff
+    }
+    assert a.shift(mu, coeff).terms == reference
+
+
 def test_shift_rejects_a_wrong_rank_weight_and_a_non_int_coefficient():
     from fractions import Fraction
 
@@ -166,6 +177,12 @@ def test_half_denominator(a1, a2, b2):
     for rs in (a1, a2, b2):
         h = half_denominator(rs)
         assert weyl_denominator_full(rs) == h * h.conjugate()
+
+
+def test_full_denominator_is_expanded_once_per_root_system(a2):
+    d = weyl_denominator_full(a2)
+    assert weyl_denominator_full(a2) is d
+    assert d.terms == oracle_product_expansion(a2.full_roots)
 
 
 def test_denominator_is_weyl_and_conjugation_invariant(a2, b2):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import subprocess_env
 from ellhom import InternalConsistencyError, divide_exact, verify
 from ellhom.cli import build_parser, main
 
@@ -17,6 +18,7 @@ from ellhom.cli import build_parser, main
 def run_cli(*argv):
     proc = subprocess.run(
         [sys.executable, "-m", "ellhom.cli", *argv],
+        env=subprocess_env(),
         capture_output=True,
         text=True,
     )

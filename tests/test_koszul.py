@@ -1,8 +1,11 @@
 """The chain-complex homology oracle against frozen values and closed forms."""
 
+import json
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ellhom.koszul
 
@@ -10,12 +13,16 @@ from ellhom import (
     CapExceededError,
     CharElement,
     GradedHomology,
+    VirtualModule,
+    compact_context,
     euler_class,
     euler_class_closed_form,
     half_denominator,
     koszul_n_homology,
+    homological_pairing,
     kostant_homology,
     parse_type,
+    torus_pairing,
     weyl_character,
 )
 
@@ -210,3 +217,104 @@ def test_graded_homology_linearity(a1):
     with pytest.raises(ValueError, match="positive-system mismatch"):
         neg = tuple(tuple(-x for x in a) for a in a1.positive_roots)
         g1 + koszul_n_homology((1,), neg, a1)
+
+
+# -- the one-map representation against per-degree references ----------------
+
+A2 = parse_type("A2")
+A2_CTX = compact_context(A2)
+
+
+def degree_lists(max_degrees=4):
+    """Per-degree classes of rank 2, as the test's own reference holds them."""
+    cls = st.dictionaries(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(-4, 4), max_size=5
+    ).map(lambda d: CharElement(2, d))
+    return st.lists(cls, max_size=max_degrees)
+
+
+def graded(classes):
+    return GradedHomology(classes=tuple(classes), positive_system=A2_CTX.positive_system, rank=2)
+
+
+def ref_sum(xs, ys):
+    zero = CharElement.zero(2)
+    n = max(len(xs), len(ys))
+    xs, ys = list(xs) + [zero] * (n - len(xs)), list(ys) + [zero] * (n - len(ys))
+    return tuple(x + y for x, y in zip(xs, ys))
+
+
+def ref_euler(xs):
+    out = CharElement.zero(2)
+    for p, x in enumerate(xs):
+        out = out - x if p % 2 else out + x
+    return out
+
+
+@given(xs=degree_lists(), ys=degree_lists(), c=st.integers(-3, 3))
+@settings(max_examples=150, deadline=None)
+def test_graded_sum_scale_and_euler_class_match_per_degree_arithmetic(xs, ys, c):
+    g, h = graded(xs), graded(ys)
+    total = g + h
+    assert total.classes == ref_sum(xs, ys)
+    assert total.degrees == len(total.classes) == max(len(xs), len(ys))
+    scaled = g.scale(c)
+    assert scaled.classes == tuple(x * c for x in xs)
+    assert scaled.degrees == len(xs)
+    assert euler_class(g) == ref_euler(xs)
+    assert euler_class(total) == ref_euler(xs) + ref_euler(ys)
+    assert euler_class(scaled) == ref_euler(xs) * c
+
+
+@given(xs=degree_lists(), ys=degree_lists())
+@settings(max_examples=150, deadline=None)
+def test_homological_pairing_is_the_double_sum_over_degree_pairs(xs, ys):
+    double_sum = sum(
+        (-1) ** (p + q) * torus_pairing(x, y) for p, x in enumerate(xs) for q, y in enumerate(ys)
+    )
+    value = homological_pairing(graded(xs), graded(ys), A2_CTX)
+    assert type(value) is Fraction
+    assert value == Fraction(double_sum, A2_CTX.w0_order)
+
+
+@given(xs=degree_lists(), ys=degree_lists(), c=st.integers(-3, 3))
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_results_equal_and_hash_as_the_same_classes_built_directly(xs, ys, c):
+    total, direct = graded(xs) + graded(ys), graded(ref_sum(xs, ys))
+    assert total == direct and hash(total) == hash(direct)
+    scaled, direct = graded(xs).scale(c), graded(x * c for x in xs)
+    assert scaled == direct and hash(scaled) == hash(direct)
+    # one more degree, even an empty one, is a different element
+    assert graded(xs) != graded(list(xs) + [CharElement.zero(2)])
+
+
+def test_degree_count_of_empty_and_virtual_representatives():
+    empty = graded(())
+    assert empty.degrees == 0 and empty.classes == ()
+    assert empty.scale(0).degrees == 0
+    assert (empty + graded([CharElement.one(2)])).degrees == 1
+    euler = CharElement(2, {(0, 0): 2, (1, 1): -3})
+    rep = VirtualModule(label="v", ctx=A2_CTX, euler=euler).graded()
+    assert rep.degrees == 2
+    assert rep.classes == (CharElement(2, {(0, 0): 2}), CharElement(2, {(1, 1): 3}))
+    assert rep.scale(0).degrees == 2 and rep.scale(0).classes == (CharElement.zero(2),) * 2
+    assert euler_class(rep) == euler
+
+
+@given(xs=degree_lists().filter(bool))
+@settings(max_examples=100, deadline=None)
+def test_graded_homology_json_round_trip_is_byte_identical(xs):
+    text = json.dumps(graded(xs).to_dict(), sort_keys=True)
+    back = GradedHomology.from_dict(json.loads(text))
+    assert back == graded(xs)
+    assert json.dumps(back.to_dict(), sort_keys=True) == text
+
+
+def test_graded_homology_is_immutable_and_checks_degree_ranks(a1):
+    gh = kostant_homology((1,), a1)
+    with pytest.raises(AttributeError):
+        gh.terms = {}
+    with pytest.raises(ValueError, match="degree 1"):
+        GradedHomology(
+            classes=(CharElement.one(1), CharElement.one(2)), positive_system=((2,),), rank=1
+        )

@@ -4,23 +4,16 @@ tracer for ``perfbench/run.py --trace 1`` and the faults for
 around the wrapped one, would break them; a fresh interpreter that installs
 the tracer, or plants the rank fault, catches that."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _perfbench_env():
-    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
-    return dict(os.environ, PYTHONPATH=path)
+from conftest import subprocess_env
 
 
 def test_tracer_installs_on_every_listed_binding():
     proc = subprocess.run(
         [sys.executable, "-c", "import tracer; tracer.install()"],
-        env=_perfbench_env(),
+        env=subprocess_env("perfbench"),
         capture_output=True,
         text=True,
         timeout=120,
@@ -42,7 +35,7 @@ def test_benchmark_rank_fault_reaches_the_oracle():
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
-        env=_perfbench_env(),
+        env=subprocess_env("perfbench"),
         capture_output=True,
         text=True,
         timeout=120,
