@@ -5,18 +5,20 @@ e^mu, stored as sparse dicts keyed by weight coordinate vectors. The
 normalized Haar integral of e^mu is the Kronecker delta at mu = 0, so every
 torus integral below is a constant-term extraction.
 
-Weights are packed into single ints only inside a product, in
-``CharElement.__mul__`` and in ``root_product`` (the packed exponent
-vectors of Monagan and Pearce, CASC 2007): each coordinate is shifted to
-start at 0 and given a radix wide enough for the product's exact box, so
-packing is additive without carries and the inner loops add ints instead
-of building tuples. Stored terms keep their tuple keys.
+Weights are packed into single ints only inside a product or a division,
+in ``CharElement.__mul__``, ``root_product`` and ``divide_exact`` (the
+packed exponent vectors of Monagan and Pearce, CASC 2007): each coordinate
+is given a radix wide enough for the box every term of the loop stays in,
+so packing is additive without carries and the inner loops add ints
+instead of building tuples. Stored terms keep their tuple keys. Sums merge
+the two term maps in C and visit only the weights they share.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import accumulate, repeat
+from math import prod
 from numbers import Rational
 from operator import add, le, mul, neg, sub
 
@@ -112,14 +114,7 @@ class CharElement:
         if not isinstance(other, CharElement):
             return NotImplemented
         self._check_rank(other)
-        out = dict(self.terms)
-        for mu, c in other.terms.items():
-            v = out.get(mu, 0) + c
-            if v:
-                out[mu] = v
-            else:
-                out.pop(mu, None)
-        return CharElement._of(self.rank, out)
+        return CharElement._of(self.rank, merge_terms(self.terms, other.terms))
 
     def __neg__(self) -> "CharElement":
         return CharElement._of(self.rank, {mu: -c for mu, c in self.terms.items()})
@@ -252,6 +247,20 @@ class CharElement:
         )
 
 
+def merge_terms(a: dict, b: dict) -> dict:
+    """The sum of two sparse maps with nonzero values, with no zero entry:
+    one C-level merge, then a pass over the keys they share only. Keys
+    keep the order of a followed by the new keys of b."""
+    out = {**a, **b}
+    for key in a.keys() & b.keys():
+        v = a[key] + b[key]
+        if v:
+            out[key] = v
+        else:
+            del out[key]
+    return out
+
+
 def _unpack(packed: dict[int, int], radices, lo) -> dict[Weight, int]:
     """Decode packed keys digit by digit (quotient and remainder by each
     radix in turn) and shift digit j back by lo[j]."""
@@ -354,30 +363,48 @@ def half_denominator(rs: RootSystem) -> CharElement:
     return rs._half_denominator
 
 
+_INEXACT = "division is not exact in the character ring"
+
+
 def divide_exact(p: CharElement, q: CharElement, rs: RootSystem) -> CharElement:
     """Exact division p / q in the character ring, or ValueError if q does
     not divide p.
 
     Term order: height first (the sum of simple-root coordinates, positive
-    on the positive roots, taken as the integer dot product with
+    on the positive roots, taken as the integer dot product h(mu) with
     ``rs.height_vector``), then lexicographic order of the weight. Each
     step divides the leading remainder term by the leading term of q and
     subtracts that multiple of q. The order is compatible with addition, so
     every term a step adds to the remainder lies below the term it removes.
 
-    The remainder's leading term comes from a heap of ``(-height, -weight)``
-    keys (Monagan and Pearce, CASC 2007) instead of a scan of the whole
-    remainder. A weight is pushed when it enters the remainder; a popped
-    weight that has since cancelled is skipped, and by the remark above it
-    never returns.
+    Inside the loop a weight is one int (the packed exponents of Monagan
+    and Pearce, CASC 2007). Over p's bounding box lo_j <= mu_j <= hi_j,
+    with radix r_j = hi_j - lo_j + 1, lexicographic places (place_j the
+    product of the radices after j, so the first coordinate is the most
+    significant) and span the product of all radices, the key is
+
+        K(mu) = h(mu) * span + sum_j mu_j * place_j.
+
+    On the box the sum lies in [base, base + span), base = sum_j lo_j *
+    place_j, so the integer order of K is the term order; and K is linear,
+    so the key of mono + nu is K(mono) + K(nu). The remainder is a dict
+    keyed by -K, and its leading term comes from a heap of these ints
+    instead of a scan of the whole remainder: the heap's minimum is the
+    leading term. A key is pushed when it enters the remainder; a popped
+    key that has since cancelled is skipped, and by the remark above it
+    never returns. Only a popped leading term is decoded back to a weight,
+    by divmod with span (giving its height and digits) and then with each
+    place; quotient terms keep weight tuples.
 
     Termination certificate: if p = q x then Newt(p) = Newt(q) + Newt(x)
     (Ostrowski), so every term of x lies in the box
     min_j(p) - min_j(q) <= x_j <= max_j(p) - max_j(q) and has height at
     least min h(p) - min h(q). A quotient term outside these bounds, or a
     leading coefficient that q's leading coefficient does not divide,
-    raises ValueError. Quotient terms strictly decrease in the term order
-    and the box is finite, so the loop ends on every input.
+    raises ValueError before anything is subtracted. Quotient terms
+    strictly decrease in the term order and the box is finite, so the loop
+    ends on every input. A quotient term in the box plus a term of q lies
+    in p's box, so every remainder key stays on the box where K is exact.
     """
     if not p.rank == q.rank == rs.rank:
         raise ValueError(
@@ -388,41 +415,59 @@ def divide_exact(p: CharElement, q: CharElement, rs: RootSystem) -> CharElement:
     if p.is_zero():
         return CharElement.zero(p.rank)
     hvec = rs.height_vector
-
-    def key(mu: Weight) -> tuple:
-        # heap entry whose minimum is the leading term
-        return (-sum(map(mul, hvec, mu)), tuple(map(neg, mu)), mu)
-
-    qkeys = sorted(map(key, q.terms))
-    neg_hq, _, qlead = qkeys[0]
-    qlc = q.terms[qlead]
-    qterms = [(nu, q.terms[nu], neg_h) for neg_h, _, nu in qkeys]
-    heap = sorted(map(key, p.terms))  # a sorted list is a heap
-    # every quotient height is at least min h(p) - min h(q)
-    neg_h_max = heap[-1][0] - qkeys[-1][0]
     pcols, qcols = tuple(zip(*p.terms)), tuple(zip(*q.terms))
-    lo = tuple(min(a) - min(b) for a, b in zip(pcols, qcols))
-    hi = tuple(max(a) - max(b) for a, b in zip(pcols, qcols))
-    rem = dict(p.terms)
+    plo = tuple(map(min, pcols))
+    phi = tuple(map(max, pcols))
+    radices = tuple(h - l + 1 for h, l in zip(phi, plo))
+    places = tuple(accumulate(radices[:0:-1], mul, initial=1))[::-1]
+    span = prod(radices)
+    kvec = tuple(h * span + place for h, place in zip(hvec, places))
+    base = sum(map(mul, plo, places))
+
+    def height(mu: Weight) -> int:
+        return sum(map(mul, hvec, mu))
+
+    qlead = max(q.terms, key=lambda nu: (height(nu), nu))
+    qlc, hq = q.terms[qlead], height(qlead)
+    # every quotient height is at least min h(p) - min h(q)
+    h_min = min(map(height, p.terms)) - min(map(height, q.terms))
+    lo = tuple(a - min(b) for a, b in zip(plo, qcols))
+    hi = tuple(a - max(b) for a, b in zip(phi, qcols))
+    # mono_j = digit_j + plo_j - qlead_j for the popped term's digits
+    shift = tuple(map(sub, plo, qlead))
+    kq = sum(map(mul, kvec, qlead))
+    # -K(t - qlead + nu) = -K(t) + (K(qlead) - K(nu))
+    qdeltas = [(kq - sum(map(mul, kvec, nu)), d) for nu, d in q.terms.items()]
+    heap = [-sum(map(mul, kvec, mu)) for mu in p.terms]
+    rem = dict(zip(heap, p.terms.values()))
+    heapq.heapify(heap)
+    heappop, heappush, get = heapq.heappop, heapq.heappush, rem.get
     quot: dict[Weight, int] = {}
     while rem:
-        neg_ht, _, t = heapq.heappop(heap)
-        ct = rem.get(t)
+        nt = heappop(heap)
+        ct = get(nt)
         if ct is None:
             continue
         c, r = divmod(ct, qlc)
-        mono = tuple(map(sub, t, qlead))
-        neg_hm = neg_ht - neg_hq
-        in_box = all(map(le, lo, mono)) and all(map(le, mono, hi))
-        if r or neg_hm > neg_h_max or not in_box:
-            raise ValueError("division is not exact in the character ring")
+        ht, rest = divmod(-nt - base, span)
+        digits = []
+        for place in places:
+            digit, rest = divmod(rest, place)
+            digits.append(digit)
+        mono = tuple(map(add, digits, shift))
+        if r:
+            raise ValueError(f"{_INEXACT}: the leading coefficient {qlc} does not divide {ct}")
+        if ht - hq < h_min:
+            raise ValueError(f"{_INEXACT}: quotient term {mono} is below the height bound")
+        if not (all(map(le, lo, mono)) and all(map(le, mono, hi))):
+            raise ValueError(f"{_INEXACT}: quotient term {mono} is outside the Newton box")
         quot[mono] = c
-        for nu, d, neg_hnu in qterms:
-            k = tuple(map(add, mono, nu))
-            v = rem.get(k)
+        for delta, d in qdeltas:
+            k = nt + delta
+            v = get(k)
             if v is None:
                 rem[k] = -c * d
-                heapq.heappush(heap, (neg_hm + neg_hnu, tuple(map(neg, k)), k))
+                heappush(heap, k)
             elif v == c * d:
                 del rem[k]
             else:

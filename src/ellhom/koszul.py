@@ -55,7 +55,7 @@ from itertools import combinations
 from math import lcm
 
 from .characters import require_dominant, weyl_dimension
-from .charring import CharElement, json_field, json_ints
+from .charring import CharElement, json_field, json_ints, merge_terms
 from .hwmodule import module_for, structure_constants
 from .linalg import sparse_int_rank, triangular_pick
 from .rootsystem import CapExceededError, RootSystem, Weight
@@ -73,9 +73,10 @@ class GradedHomology:
     their degree counts, positive systems, ranks and terms are.
 
     ``classes`` is the per-degree view, a tuple of CharElements derived
-    once and cached."""
+    once and cached; ``euler_class`` is derived once and cached the same
+    way, in ``_euler``."""
 
-    __slots__ = ("terms", "degrees", "positive_system", "rank", "_classes")
+    __slots__ = ("terms", "degrees", "positive_system", "rank", "_classes", "_euler")
 
     def __init__(self, classes, positive_system, rank: int):
         terms: dict[tuple[int, Weight], int] = {}
@@ -92,6 +93,7 @@ class GradedHomology:
         set_slot(self, "positive_system", positive_system)
         set_slot(self, "rank", rank)
         set_slot(self, "_classes", None)
+        set_slot(self, "_euler", None)
 
     @classmethod
     def _of(cls, terms, degrees: int, positive_system, rank: int) -> "GradedHomology":
@@ -136,16 +138,9 @@ class GradedHomology:
             return NotImplemented
         if self.positive_system != other.positive_system:
             raise ValueError("positive-system mismatch between graded homologies")
-        out = dict(self.terms)
-        get = out.get
-        for key, c in other.terms.items():
-            v = get(key, 0) + c
-            if v:
-                out[key] = v
-            else:
-                del out[key]
+        terms = merge_terms(self.terms, other.terms)
         return GradedHomology._of(
-            out, max(self.degrees, other.degrees), self.positive_system, self.rank
+            terms, max(self.degrees, other.degrees), self.positive_system, self.rank
         )
 
     def scale(self, c: int) -> "GradedHomology":
@@ -167,6 +162,12 @@ class GradedHomology:
         degrees = sorted(json_field(data, "degrees", list), key=lambda d: json_field(d, "p", int))
         if not degrees:
             raise ValueError("JSON key 'degrees' must not be empty")
+        numbers = [d["p"] for d in degrees]
+        if numbers != list(range(len(degrees))):
+            raise ValueError(
+                f"JSON key 'p' must number the degrees 0..{len(degrees) - 1}, each once, "
+                f"got {numbers}"
+            )
         classes = tuple(CharElement.from_dict(json_field(d, "class", dict)) for d in degrees)
         ps = json_ints(data, "positive_system", 2)
         return cls(classes=classes, positive_system=ps, rank=classes[0].rank)
@@ -352,7 +353,9 @@ def koszul_n_homology(lam: Weight, positive_system, rs: RootSystem) -> GradedHom
 
 def euler_class(gh: GradedHomology) -> CharElement:
     """The graded character at t = -1: sum_p (-1)^p ch H_p, one signed fold
-    over the terms."""
+    over the terms, made on the first call and kept on gh."""
+    if gh._euler is not None:
+        return gh._euler
     out: dict[Weight, int] = {}
     get = out.get
     for (p, mu), c in gh.terms.items():
@@ -361,7 +364,9 @@ def euler_class(gh: GradedHomology) -> CharElement:
             out[mu] = v
         else:
             del out[mu]
-    return CharElement._of(gh.rank, out)
+    euler = CharElement._of(gh.rank, out)
+    object.__setattr__(gh, "_euler", euler)
+    return euler
 
 
 def euler_class_closed_form(lam: Weight, rs: RootSystem) -> CharElement:

@@ -5,7 +5,9 @@ subset-sum oracle (itertools over the factors), not the ring's own
 multiplication.
 """
 
+import heapq
 import random
+import re
 from itertools import product
 
 import pytest
@@ -442,3 +444,151 @@ def test_weyl_act_random_elements(a, index):
     rs = parse_type("C3")
     w = rs.weyl_group().elements[index]
     assert weyl_act(w, a).terms == act_term_by_term(w, a)
+
+
+# -- division and sums against tuple-keyed references -------------------------
+
+
+def reference_divide(p, q, rs):
+    """The heap division on tuple keys, one (-height, -weight) entry per
+    remainder term. Each refusal raises ValueError naming its check and the
+    step, in the order the checks run: leading coefficient, height bound,
+    Newton box."""
+    if p.is_zero():
+        return {}
+    hvec = rs.height_vector
+
+    def key(mu):
+        return (-sum(a * b for a, b in zip(hvec, mu)), tuple(-x for x in mu), mu)
+
+    qkeys = sorted(map(key, q.terms))
+    neg_hq, _, qlead = qkeys[0]
+    qlc = q.terms[qlead]
+    heap = sorted(map(key, p.terms))
+    neg_h_max = heap[-1][0] - qkeys[-1][0]
+    pcols, qcols = tuple(zip(*p.terms)), tuple(zip(*q.terms))
+    lo = tuple(min(a) - min(b) for a, b in zip(pcols, qcols))
+    hi = tuple(max(a) - max(b) for a, b in zip(pcols, qcols))
+    rem, quot = dict(p.terms), {}
+    while rem:
+        neg_ht, _, t = heapq.heappop(heap)
+        if t not in rem:
+            continue
+        c, r = divmod(rem[t], qlc)
+        mono = tuple(a - b for a, b in zip(t, qlead))
+        if r:
+            raise ValueError(f"leading coefficient {qlc} does not divide {rem[t]}")
+        if neg_ht - neg_hq > neg_h_max:
+            raise ValueError(f"quotient term {mono} is below the height bound")
+        if not all(a <= m <= b for a, m, b in zip(lo, mono, hi)):
+            raise ValueError(f"quotient term {mono} is outside the Newton box")
+        quot[mono] = c
+        for nu, d in q.terms.items():
+            k = tuple(a + b for a, b in zip(mono, nu))
+            if k not in rem:
+                heapq.heappush(heap, key(k))
+            v = rem.get(k, 0) - c * d
+            if v:
+                rem[k] = v
+            else:
+                del rem[k]
+    return quot
+
+
+DIVISION_TYPES = ["A1", "A2", "B2", "G2", "A3", "B3", "C3"]
+
+
+@st.composite
+def division_inputs(draw):
+    """A root system of rank 1-3, a divisor q (a Weyl denominator or an
+    arbitrary element) and p: a product q x, such a product plus one more
+    term, or an arbitrary element."""
+    rs = parse_type(draw(st.sampled_from(DIVISION_TYPES)))
+    half = half_denominator(rs)
+    nonzero = char_elements(rs.rank).filter(lambda e: not e.is_zero())
+    q = draw(st.one_of(st.sampled_from([half, half.conjugate(), 2 * half]), nonzero))
+    kind = draw(st.sampled_from(["product", "perturbed", "arbitrary"]))
+    if kind == "arbitrary":
+        return draw(char_elements(rs.rank)), q, rs
+    p = q * draw(char_elements(rs.rank))
+    if kind == "perturbed":
+        p = p + CharElement.monomial(draw(weights(rs.rank)), draw(st.sampled_from([-1, 1, 2])))
+    return p, q, rs
+
+
+@given(case=division_inputs())
+@settings(max_examples=300, deadline=None)
+def test_division_agrees_with_the_tuple_keyed_reference(case):
+    p, q, rs = case
+    try:
+        expected = reference_divide(p, q, rs)
+    except ValueError as exc:
+        # the same refusal, at the same step
+        with pytest.raises(ValueError, match="not exact.*" + re.escape(str(exc))):
+            divide_exact(p, q, rs)
+        return
+    quotient = divide_exact(p, q, rs)
+    # same terms in the same order: quotient terms are found in term order
+    assert list(quotient.terms.items()) == list(expected.items())
+    assert q * quotient == p
+
+
+@pytest.mark.parametrize("token,p,q,check", [
+    # 2 does not divide the leading coefficient -1; the quotient e^0 is in bounds
+    ("A1", {(2,): -1}, {(2,): 2}, "leading coefficient"),
+    # the quotient term (-1, 1) is in the box but has height 0 < 1 - (-4)
+    ("A2", {(0, 0): 1, (1, -1): 1}, {(-2, -2): 2, (-1, -2): 1}, "height bound"),
+    # the quotient term (-1, 2) passes the height bound but lies below the
+    # box (0, 0) <= x <= (-1, 2) in its first coordinate
+    ("A2", {(-1, 2): 2, (-1, -2): -1}, {(-1, -2): 2, (0, 0): -1}, "Newton box"),
+    # the quotient term (3, 1) lies above the box (3, 0) <= x <= (2, 1)
+    ("A2", {(2, 2): 2, (2, -1): 2}, {(-1, 1): 1, (0, -1): 2}, "Newton box"),
+])
+def test_each_division_refusal_alone(token, p, q, check):
+    rs = parse_type(token)
+    p, q = CharElement(rs.rank, p), CharElement(rs.rank, q)
+    # exactly this check fails, so each refusal is reached on its own
+    with pytest.raises(ValueError, match=check) as ref:
+        reference_divide(p, q, rs)
+    with pytest.raises(ValueError, match="not exact.*" + re.escape(str(ref.value))):
+        divide_exact(p, q, rs)
+
+
+def reference_sum(a, b):
+    """Per-term sum in the order of a, then the new terms of b."""
+    out = dict(a)
+    for mu, c in b.items():
+        out[mu] = out.get(mu, 0) + c
+        if not out[mu]:
+            del out[mu]
+    return out
+
+
+@st.composite
+def summand_pairs(draw):
+    """a and b of one rank with overlapping, disjoint or fully cancelling
+    supports, or b cancelling only part of a."""
+    rank = draw(st.integers(1, 3))
+    a = draw(char_elements(rank))
+    kind = draw(st.sampled_from(["overlapping", "disjoint", "cancelling", "partial"]))
+    if kind == "overlapping":
+        return a, draw(char_elements(rank))
+    if kind == "disjoint":
+        return a, draw(char_elements(rank)).shift((100,) + (0,) * (rank - 1))
+    if kind == "cancelling":
+        return a, -a
+    keep = draw(st.sets(st.sampled_from(sorted(a.terms)))) if a.terms else set()
+    return a, CharElement(rank, {mu: -c for mu, c in a.terms.items() if mu not in keep})
+
+
+@given(pair=summand_pairs())
+@settings(max_examples=300, deadline=None)
+def test_sum_matches_a_per_term_reference(pair):
+    a, b = pair
+    before = (dict(a.terms), dict(b.terms))
+    for x, y in ((a, b), (b, a)):
+        total = x + y
+        assert list(total.terms.items()) == list(reference_sum(x.terms, y.terms).items())
+        assert all(total.terms.values())
+    assert (a + -a).terms == {}
+    assert (a.terms, b.terms) == before

@@ -188,8 +188,13 @@ def test_malformed_catalogs_are_usage_errors(tmp_path):
     bad_w0["context"]["w0"] = [["x"]]
     no_modules = json.loads(good.read_text())
     no_modules["modules"] = []
+    shifted, repeated = json.loads(good.read_text()), json.loads(good.read_text())
+    for data, numbers in ((shifted, (5, 7)), (repeated, (0, 0))):
+        for entry, p in zip(data["modules"][0]["homology"]["degrees"], numbers):
+            entry["p"] = p
     cases = (({"modules": []}, "'context'"), ([1, 2], "'context'"),
-             (no_homology, "'homology'"), (bad_w0, "'w0'"), (no_modules, "'modules'"))
+             (no_homology, "'homology'"), (bad_w0, "'w0'"), (no_modules, "'modules'"),
+             (shifted, "'p'"), (repeated, "'p'"))
     for data, key in cases:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))

@@ -318,3 +318,71 @@ def test_graded_homology_is_immutable_and_checks_degree_ranks(a1):
         GradedHomology(
             classes=(CharElement.one(1), CharElement.one(2)), positive_system=((2,),), rank=1
         )
+
+
+def reference_graded_sum(g, h):
+    """Per-term sum of the two maps, in the order of g, then the new keys of h."""
+    out = dict(g.terms)
+    for key, c in h.terms.items():
+        out[key] = out.get(key, 0) + c
+        if not out[key]:
+            del out[key]
+    return out
+
+
+@given(xs=degree_lists(), ys=degree_lists(), kind=st.sampled_from(["overlapping", "disjoint", "cancelling"]))
+@settings(max_examples=150, deadline=None)
+def test_graded_sum_matches_a_per_term_reference(xs, ys, kind):
+    g = graded(xs)
+    if kind == "disjoint":
+        ys = [y.shift((100, 0)) for y in ys]
+    h = graded(ys) if kind != "cancelling" else g.scale(-1)
+    total = g + h
+    assert list(total.terms.items()) == list(reference_graded_sum(g, h).items())
+    assert all(total.terms.values())
+    if kind == "cancelling":
+        assert total.terms == {} and total.degrees == g.degrees
+
+
+@given(xs=degree_lists(), ys=degree_lists(), c=st.integers(-3, 3))
+@settings(max_examples=100, deadline=None)
+def test_cached_euler_class_equals_a_fresh_fold(xs, ys, c):
+    g, h = graded(xs), graded(ys)
+    # fill the caches of the operands first: results must not inherit them
+    assert euler_class(g) == ref_euler(xs) and euler_class(h) == ref_euler(ys)
+    for result in (g + h, g.scale(c), (g + h).scale(c)):
+        first = euler_class(result)
+        assert first == ref_euler(result.classes)  # a fresh fold, per degree
+        assert euler_class(result) is first
+
+
+def test_repeated_pairings_fold_each_homology_once(monkeypatch):
+    folds = []
+    original = ellhom.koszul.CharElement._of
+
+    def counting(rank, terms):
+        folds.append(rank)
+        return original(rank, terms)
+
+    homs = [kostant_homology(lam, A2) for lam in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    # the fold is the one CharElement a pairing builds
+    monkeypatch.setattr(ellhom.koszul.CharElement, "_of", counting)
+    values = [[homological_pairing(a, b, A2_CTX) for b in homs] for a in homs]
+    assert len(folds) == len(homs)
+    for _ in range(3):
+        assert [[homological_pairing(a, b, A2_CTX) for b in homs] for a in homs] == values
+    assert len(folds) == len(homs)
+    assert values == [[Fraction(int(a is b)) for b in homs] for a in homs]
+
+
+@pytest.mark.parametrize("numbers", [[5, 7], [0, 0], [1, 2], [0, 2]])
+def test_graded_homology_from_dict_requires_degrees_numbered_from_zero(a1, numbers):
+    data = kostant_homology((1,), a1).to_dict()
+    for entry, p in zip(data["degrees"], numbers):
+        entry["p"] = p
+    with pytest.raises(ValueError, match="'p'"):
+        GradedHomology.from_dict(data)
+    # the order of the entries in the file does not matter
+    data = kostant_homology((1,), a1).to_dict()
+    data["degrees"].reverse()
+    assert GradedHomology.from_dict(data) == kostant_homology((1,), a1)

@@ -9,7 +9,7 @@ every case fails under at least one fault, so a check that cannot fail
 cannot be added unnoticed.
 """
 
-from ellhom import charring, koszul, pairings, verify
+from ellhom import characters, charring, koszul, pairings, verify
 from ellhom.charring import CharElement
 from ellhom.koszul import GradedHomology
 
@@ -120,6 +120,20 @@ def _denominator_root(mp):
     )
 
 
+def _division_drops_a_term(mp):
+    """Every quotient the Weyl character formula reads from the division
+    loses its lowest term in the division's term order (height, then
+    weight)."""
+    original = characters.divide_exact
+
+    def faulty(p, q, rs):
+        quotient = original(p, q, rs)
+        lowest = min(quotient.terms, key=lambda mu: (rs.height(mu), mu))
+        return quotient - CharElement.monomial(lowest, quotient.terms[lowest])
+
+    mp.setattr(characters, "divide_exact", faulty)
+
+
 def _torus_conjugation(mp):
     """The torus pairing pairings reads is CT(a * b), without conjugating b."""
     original = pairings.torus_pairing
@@ -136,6 +150,7 @@ FAULTS = {
     "kostant term dropped": _kostant_term,
     "denominator root dropped": _denominator_root,
     "torus conjugation dropped": _torus_conjugation,
+    "division drops a quotient term": _division_drops_a_term,
 }
 
 
