@@ -37,8 +37,8 @@ from .pairings import (
     dual_class,
     elliptic_pairing,
     ext_abelian_graded,
+    gram,
     homological_pairing,
-    multiplicity_pairing,
     split_rank_one_context,
 )
 from .rootsystem import (

@@ -25,7 +25,7 @@ from . import verify
 from .characters import InternalConsistencyError, freudenthal_character, weyl_character
 from .charring import divide_exact, half_denominator
 from .koszul import euler_class, koszul_n_homology
-from .pairings import elliptic_pairing, homological_pairing, multiplicity_pairing
+from .pairings import gram
 from .rootsystem import CapExceededError, parse_type
 from .zoo import Catalog, compact_catalog, sl2_catalog
 
@@ -135,32 +135,23 @@ def cmd_pairing(args) -> int:
         "w0_order": ctx.w0_order,
     }
     if args.kind == "elliptic":
-        pair, classes = elliptic_pairing, [m.euler for m in cat.modules]
+        classes = [m.euler for m in cat.modules]
     elif args.kind == "homological":
-        pair, classes = homological_pairing, [m.graded() for m in cat.modules]
+        classes = [m.graded() for m in cat.modules]
     else:
         # a compact class is half_denominator * chi; divide once per module
         half = half_denominator(ctx.rs)
-        pair = multiplicity_pairing
         classes = [divide_exact(m.euler, half, ctx.rs) for m in cat.modules]
-    rows = [
-        {
-            "kind": args.kind,
-            "left": a.label,
-            "right": b.label,
-            "value": str(pair(x, y, ctx)),
-            "context": ctx_summary,
-        }
-        for a, x in zip(cat.modules, classes)
-        for b, y in zip(cat.modules, classes)
-    ]
+    matrix = [[str(v) for v in row] for row in gram(args.kind, classes, ctx)]
     labels = [m.label for m in cat.modules]
+    rows = [
+        {"kind": args.kind, "left": a, "right": b, "value": v, "context": ctx_summary}
+        for a, values in zip(labels, matrix)
+        for b, v in zip(labels, values)
+    ]
     width = max(len(l) for l in labels) + 1
     lines = [" " * width + "".join(f"{l:>{width}}" for l in labels)]
-    it = iter(rows)
-    for a in labels:
-        row = [next(it)["value"] for _ in labels]
-        lines.append(f"{a:>{width}}" + "".join(f"{v:>{width}}" for v in row))
+    lines += [f"{a:>{width}}" + "".join(f"{v:>{width}}" for v in values) for a, values in zip(labels, matrix)]
     _emit({"kind": args.kind, "context": ctx_summary, "pairings": rows}, args, lines)
     return 0
 

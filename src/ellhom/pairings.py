@@ -1,6 +1,8 @@
-"""The multiplicity, elliptic, and homological pairings, and the identity
-checks that support them (denominator symmetry, Euler-class equivariance,
-transport between positive systems, duality, abelian Ext vanishing).
+"""The multiplicity, elliptic, and homological pairings, each as one Gram
+matrix over a list of classes (``gram``), the elliptic and homological ones
+also pair by pair, and the identity checks that support them (denominator
+symmetry, Euler-class equivariance, transport between positive systems,
+duality, abelian Ext vanishing).
 
 All values are exact rationals; there is no tolerance parameter anywhere.
 Every context is equal rank: the pairings live on the character lattice of
@@ -119,18 +121,32 @@ def _check_rank(ctx: PairContext, *elements):
             raise ValueError("rank mismatch between classes and context")
 
 
-def multiplicity_pairing(chi_u: CharElement, chi_v: CharElement, ctx: PairContext) -> Fraction:
-    """dim Hom for compact-group characters, via the Weyl integral form
-    (1/|W|) * CT(D * chi_u * conj(chi_v))."""
-    _check_rank(ctx, chi_u, chi_v)
-    if not ctx.w0_is_full:
-        raise ValueError("multiplicity pairing requires a compact context (W0 = W)")
-    for i in range(ctx.rs.rank):
-        s = ctx.rs.simple_reflection(i)
-        if weyl_act(s, chi_u) != chi_u or weyl_act(s, chi_v) != chi_v:
+def gram(kind: str, classes, ctx: PairContext) -> list[list[Fraction]]:
+    """The matrix of one pairing over a list of classes: entry (i, j) is
+    (1/[W0]) * CT(x_i * conj(y_j)), each class checked and prepared once.
+    ``multiplicity``: W-invariant characters chi in a compact context
+    ([W0] = |W|), x = D * chi and y = chi (the Weyl integral form of dim
+    Hom). ``elliptic``: x = y = the Euler class. ``homological``: graded
+    homologies over the context's positive system, x = y = the fold
+    ``euler_class`` (the Hom double sum over degree pairs is bilinear)."""
+    _check_rank(ctx, *classes)
+    if kind == "multiplicity":
+        if not ctx.w0_is_full:
+            raise ValueError("multiplicity pairing requires a compact context (W0 = W)")
+        reflections = [ctx.rs.simple_reflection(i) for i in range(ctx.rs.rank)]
+        if any(weyl_act(s, chi) != chi for chi in classes for s in reflections):
             raise ValueError("multiplicity pairing requires W-invariant characters")
-    product = weyl_denominator_full(ctx.rs) * chi_u
-    return Fraction(torus_pairing(product, chi_v), ctx.rs.weyl_order)
+        denominator = weyl_denominator_full(ctx.rs)
+        left = [denominator * chi for chi in classes]
+    elif kind == "homological":
+        if any(h.positive_system != ctx.positive_system for h in classes):
+            raise ValueError("positive-system mismatch between a homology and the context")
+        classes = left = [euler_class(h) for h in classes]
+    elif kind == "elliptic":
+        left = classes
+    else:
+        raise ValueError(f"unknown pairing kind {kind!r}")
+    return [[Fraction(torus_pairing(x, y), ctx.w0_order) for y in classes] for x in left]
 
 
 def elliptic_pairing(xi_u: CharElement, xi_v: CharElement, ctx: PairContext) -> Fraction:

@@ -18,7 +18,7 @@ from .characters import (
     weyl_character,
     weyl_dimension,
 )
-from .charring import CharElement, half_denominator, torus_integral, torus_pairing, weyl_act, weyl_denominator_full
+from .charring import CharElement, half_denominator, torus_integral, weyl_act, weyl_denominator_full
 from .koszul import (
     DIM_CAP,
     euler_class,
@@ -34,7 +34,7 @@ from .pairings import (
     dual_class,
     elliptic_pairing,
     ext_abelian_graded,
-    homological_pairing,
+    gram,
 )
 from .rootsystem import WEYL_CAP, CapExceededError, dominant_box, parse_type
 from .zoo import GeometricDatum, dual_standard_class, sl2_catalog, standard_module_class
@@ -58,38 +58,33 @@ def _case(name, inputs, expected, actual):
     }
 
 
+def _off_identity(matrix, keys) -> int:
+    """How many entries of a square matrix differ from the Kronecker delta
+    of the keys indexing its rows and columns."""
+    return sum(1 for a, row in zip(keys, matrix) for b, v in zip(keys, row) if v != int(a == b))
+
+
 def suite_schur(cfg) -> list[dict]:
     """Multiplicity, elliptic, and homological pairings all equal the
-    Kronecker delta on compact irreducibles."""
+    Kronecker delta on compact irreducibles: each is one ``gram`` matrix,
+    over the Weyl characters, their Euler classes, and their Kostant
+    homologies."""
     cases = []
     for token in cfg["types"] or SCHUR_TYPES:
         rs = parse_type(token)
         ctx = compact_context(rs)
         lams = dominant_box(rs.rank, cfg["bound"])
-        chars = {lam: weyl_character(lam, rs) for lam in lams}
-        denominator = weyl_denominator_full(rs)
-        dprod = {lam: denominator * chars[lam] for lam in lams}
-        homs = {lam: kostant_homology(lam, rs) for lam in lams}
-        eulers = {lam: euler_class(homs[lam]) for lam in lams}
-        mism = {"multiplicity": 0, "elliptic": 0, "homological": 0}
-        nonint = 0
-        for lam in lams:
-            for mu in lams:
-                delta = Fraction(1 if lam == mu else 0)
-                m = Fraction(torus_pairing(dprod[lam], chars[mu]), rs.weyl_order)
-                e = elliptic_pairing(eulers[lam], eulers[mu], ctx)
-                h = homological_pairing(homs[lam], homs[mu], ctx)
-                if m != delta:
-                    mism["multiplicity"] += 1
-                if e != delta:
-                    mism["elliptic"] += 1
-                if h != delta:
-                    mism["homological"] += 1
-                if e.denominator != 1:
-                    nonint += 1
+        homs = [kostant_homology(lam, rs) for lam in lams]
+        grams = {
+            "multiplicity": gram("multiplicity", [weyl_character(lam, rs) for lam in lams], ctx),
+            "elliptic": gram("elliptic", [euler_class(h) for h in homs], ctx),
+            "homological": gram("homological", homs, ctx),
+        }
         note = f"{token}, {len(lams)}^2 pairs, coords <= {cfg['bound']}"
-        for kind, bad in mism.items():
+        for kind, matrix in grams.items():
+            bad = _off_identity(matrix, lams)
             cases.append(_case(f"schur {kind} {token}", note, "0 mismatches", f"{bad} mismatches"))
+        nonint = sum(1 for row in grams["elliptic"] for e in row if e.denominator != 1)
         cases.append(_case(f"schur integrality {token}", note, "0 non-integers", f"{nonint} non-integers"))
     return cases
 
@@ -221,11 +216,7 @@ def suite_standard(cfg) -> list[dict]:
     cat = sl2_catalog(cfg["bound"])
     ctx = cat.context
     closed = [m for m in cat.modules if m.provenance == "standard_closed"]
-    bad = 0
-    for a in closed:
-        for b in closed:
-            if elliptic_pairing(a.euler, b.euler, ctx) != (1 if a.label == b.label else 0):
-                bad += 1
+    bad = _off_identity(gram("elliptic", [m.euler for m in closed], ctx), [m.label for m in closed])
     cases.append(
         _case("standard sl2 orthogonality", f"{len(closed)} closed classes", "identity matrix", "identity matrix" if bad == 0 else f"{bad} entries off")
     )

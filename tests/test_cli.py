@@ -1,6 +1,7 @@
 """The command-line surface: commands, emit formats, exit codes, determinism."""
 
 import argparse
+import hashlib
 import json
 import re
 import shlex
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import subprocess_env
-from ellhom import InternalConsistencyError, divide_exact, verify
+from ellhom import CharElement, InternalConsistencyError, divide_exact, verify
 from ellhom.cli import build_parser, main
 
 
@@ -166,16 +167,56 @@ def test_pairing_catalog_round_trip(tmp_path, capsys):
 
 def test_pairing_multiplicity_divides_once_per_module(monkeypatch, capsys):
     calls = []
+    products = []
+    multiply = CharElement.__mul__
 
     def counting(p, q, rs):
         calls.append(p)
         return divide_exact(p, q, rs)
 
+    def counting_mul(a, b):
+        # the products pairings makes are the D * chi of the multiplicity matrix
+        if sys._getframe(1).f_globals["__name__"] == "ellhom.pairings":
+            products.append(b)
+        return multiply(a, b)
+
     monkeypatch.setattr("ellhom.cli.divide_exact", counting)
+    monkeypatch.setattr(CharElement, "__mul__", counting_mul)
     assert main(["pairing", "--preset", "compact", "--type", "B2", "--bound", "2", "--kind", "multiplicity"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert len(calls) == 9 and len(out["pairings"]) == 81
+    assert len(products) == 9
     assert all(r["value"] == ("1" if r["left"] == r["right"] else "0") for r in out["pairings"])
+
+
+# sha256 of the `ellhom pairing` output for each input, --emit json then
+# --emit table; the bytes are part of the interface, as for `verify`
+PAIRING_SHA256 = {
+    "--preset compact --type B2 --bound 2 --kind elliptic": (
+        "d7a7daa17fbbdcd72e1e4757e2040fae99be510a523799b8bf6dd70319ea429c",
+        "ea2ffe6dfbc97e7bb504bf8e69e5741e443d0ab240edde7d7b7050f766a8e2c1",
+    ),
+    "--preset compact --type B2 --bound 2 --kind homological": (
+        "82f89f507e9c37100b5b6c57389119a034ece251b68c6bc1e9e9809633744f4d",
+        "ea2ffe6dfbc97e7bb504bf8e69e5741e443d0ab240edde7d7b7050f766a8e2c1",
+    ),
+    "--preset compact --type B2 --bound 2 --kind multiplicity": (
+        "83161b4a16228b137a955a04fae5ded23cbbd538545e302a99d6c05a8dc632d8",
+        "ea2ffe6dfbc97e7bb504bf8e69e5741e443d0ab240edde7d7b7050f766a8e2c1",
+    ),
+    "--preset sl2 --bound 2 --kind elliptic": (
+        "76588aa36c9b9dced3eb62737d1b7ac961ed77312718b0505cc7887c9d6f2a2e",
+        "04c31464bf40387410f5b8d768a5fd95c6c4f06cb1b452c0b671da6a19ed90da",
+    ),
+}
+
+
+@pytest.mark.parametrize("args", sorted(PAIRING_SHA256))
+def test_pairing_output_bytes_are_pinned(args, tmp_path):
+    for emit, expected in zip(("json", "table"), PAIRING_SHA256[args]):
+        out = tmp_path / f"pairing.{emit}"
+        assert main(["pairing", *args.split(), "--emit", emit, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected, emit
 
 
 def test_malformed_catalogs_are_usage_errors(tmp_path):

@@ -113,11 +113,14 @@ def _kostant_term(mp):
 
 
 def _denominator_root(mp):
-    """The full Weyl denominator verify reads misses the factor of its
-    first root."""
-    mp.setattr(
-        verify, "weyl_denominator_full", lambda rs: charring.root_product(rs.full_roots[1:], rs.rank)
-    )
+    """The full Weyl denominator verify and the multiplicity Gram matrix
+    of pairings read misses the factor of its first root."""
+
+    def faulty(rs):
+        return charring.root_product(rs.full_roots[1:], rs.rank)
+
+    mp.setattr(verify, "weyl_denominator_full", faulty)
+    mp.setattr(pairings, "weyl_denominator_full", faulty)
 
 
 def _division_drops_a_term(mp):

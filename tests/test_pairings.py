@@ -18,10 +18,10 @@ from ellhom import (
     euler_class,
     euler_class_closed_form,
     ext_abelian_graded,
+    gram,
     homological_pairing,
     koszul_n_homology,
     kostant_homology,
-    multiplicity_pairing,
     parse_type,
     split_rank_one_context,
     weyl_character,
@@ -36,9 +36,10 @@ def test_multiplicity_schur_a1(a1):
     chi0 = weyl_character((0,), a1)
     chi1 = weyl_character((1,), a1)
     chi2 = weyl_character((2,), a1)
-    assert multiplicity_pairing(chi0, chi0, ctx) == 1
-    assert multiplicity_pairing(chi1, chi1, ctx) == 1
-    assert multiplicity_pairing(chi1, chi2, ctx) == 0
+    m = gram("multiplicity", [chi0, chi1, chi2], ctx)
+    assert m[0][0] == 1
+    assert m[1][1] == 1
+    assert m[1][2] == 0
 
 
 def test_multiplicity_counts_tensor_decomposition(a1):
@@ -46,20 +47,21 @@ def test_multiplicity_counts_tensor_decomposition(a1):
     ctx = compact_context(a1)
     chi1 = weyl_character((1,), a1)
     square = chi1 * chi1
-    assert multiplicity_pairing(square, weyl_character((2,), a1), ctx) == 1
-    assert multiplicity_pairing(square, weyl_character((0,), a1), ctx) == 1
-    assert multiplicity_pairing(square, chi1, ctx) == 0
+    m = gram("multiplicity", [square, weyl_character((2,), a1), weyl_character((0,), a1), chi1], ctx)
+    assert m[0][1] == 1
+    assert m[0][2] == 1
+    assert m[0][3] == 0
 
 
 def test_multiplicity_rejects_bad_inputs(a1):
     ctx = compact_context(a1)
     not_invariant = CharElement.monomial((1,))
     with pytest.raises(ValueError, match="W-invariant"):
-        multiplicity_pairing(not_invariant, not_invariant, ctx)
+        gram("multiplicity", [not_invariant, not_invariant], ctx)
     sl2 = split_rank_one_context(a1)
     chi = weyl_character((1,), a1)
     with pytest.raises(ValueError, match="compact context"):
-        multiplicity_pairing(chi, chi, sl2)
+        gram("multiplicity", [chi, chi], sl2)
 
 
 # -- elliptic ----------------------------------------------------------------
@@ -116,6 +118,16 @@ def test_homological_positive_system_mismatch(a1):
     h_neg = koszul_n_homology((1,), neg, a1)
     with pytest.raises(ValueError, match="mismatch"):
         homological_pairing(h, h_neg, ctx)
+
+
+def test_homological_gram_rejects_a_wrong_rank_or_positive_system(a1, a2):
+    ctx = compact_context(a1)
+    h = kostant_homology((1,), a1)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        gram("homological", [h, kostant_homology((1, 0), a2)], ctx)
+    neg = tuple(tuple(-x for x in a) for a in a1.positive_roots)
+    with pytest.raises(ValueError, match="positive-system mismatch"):
+        gram("homological", [h, koszul_n_homology((1,), neg, a1)], ctx)
 
 
 def test_homological_equals_elliptic_on_euler_classes(a2):
@@ -292,13 +304,13 @@ def test_compact_chain_small(b2):
     # multiplicity = elliptic = homological = delta on a small sweep
     ctx = compact_context(b2)
     lams = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    for lam in lams:
-        for mu in lams:
+    homs = [kostant_homology(lam, b2) for lam in lams]
+    ms = gram("multiplicity", [weyl_character(lam, b2) for lam in lams], ctx)
+    es = gram("elliptic", [euler_class(h) for h in homs], ctx)
+    hs = gram("homological", homs, ctx)
+    for i, lam in enumerate(lams):
+        for j, mu in enumerate(lams):
             delta = 1 if lam == mu else 0
-            chi_l, chi_m = weyl_character(lam, b2), weyl_character(mu, b2)
-            hu, hv = kostant_homology(lam, b2), kostant_homology(mu, b2)
-            m = multiplicity_pairing(chi_l, chi_m, ctx)
-            e = elliptic_pairing(euler_class(hu), euler_class(hv), ctx)
-            h = homological_pairing(hu, hv, ctx)
+            m, e, h = ms[i][j], es[i][j], hs[i][j]
             assert m == e == h == delta
             assert (e * ctx.w0_order).denominator == 1
