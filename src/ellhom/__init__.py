@@ -1,7 +1,8 @@
 """ellhom: exact computations with Grothendieck-group classes of
 Harish-Chandra modules on the character lattice of a compact Cartan
-subgroup, and verification that the elliptic and homological pairings
-agree there.
+subgroup, and verification that the elliptic pairing agrees there with the
+Euler-Poincare pairing, which in the compact case is the multiplicity
+pairing dim Hom_G.
 """
 
 from .characters import (

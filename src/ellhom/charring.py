@@ -22,7 +22,7 @@ from math import prod
 from numbers import Rational
 from operator import add, le, mul, neg, sub
 
-from .rootsystem import RootSystem, Weight, WeylElement
+from .rootsystem import RootSystem, Weight, WeylElement, check_weyl_cap
 
 _JSON_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
                bool: "true or false", type(None): "null"}
@@ -349,7 +349,8 @@ def root_product(roots, rank: int) -> CharElement:
 
 def weyl_denominator_full(rs: RootSystem) -> CharElement:
     """D = prod over all roots of (1 - e^alpha), expanded once per root
-    system and kept on it."""
+    system and kept on it; it has at least |W| terms, so check_weyl_cap first."""
+    check_weyl_cap(rs)
     if rs._full_denominator is None:
         rs._full_denominator = root_product(rs.full_roots, rs.rank)
     return rs._full_denominator
@@ -357,7 +358,8 @@ def weyl_denominator_full(rs: RootSystem) -> CharElement:
 
 def half_denominator(rs: RootSystem) -> CharElement:
     """prod over positive roots of (1 - e^alpha), expanded once per root
-    system and kept on it."""
+    system and kept on it; it has |W| terms, so check_weyl_cap first."""
+    check_weyl_cap(rs)
     if rs._half_denominator is None:
         rs._half_denominator = root_product(rs.positive_roots, rs.rank)
     return rs._half_denominator

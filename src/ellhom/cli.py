@@ -89,7 +89,11 @@ def cmd_homology(args) -> int:
     lam = _parse_weight(args.weight, rs.rank)
     ps = rs.positive_roots
     if args.word:
-        w = rs.from_word(int(i) for i in args.word.split(","))
+        try:
+            letters = [int(i) for i in args.word.split(",")]
+        except ValueError:
+            raise UsageError(f"--word letters must be integers, got {args.word!r}") from None
+        w = rs.from_word(letters)
         ps = tuple(w.act(a) for a in rs.positive_roots)
     gh = koszul_n_homology(lam, ps, rs)
     payload = gh.to_dict()
@@ -136,8 +140,6 @@ def cmd_pairing(args) -> int:
     }
     if args.kind == "elliptic":
         classes = [m.euler for m in cat.modules]
-    elif args.kind == "homological":
-        classes = [m.graded() for m in cat.modules]
     else:
         # a compact class is half_denominator * chi; divide once per module
         half = half_denominator(ctx.rs)
@@ -225,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", default=None, help="root system of --preset compact (default A1)")
     p.add_argument("--bound", type=int, default=None,
                    help="weight bound of --preset sl2 and compact (default 3)")
-    p.add_argument("--kind", choices=["elliptic", "homological", "multiplicity"], required=True)
+    p.add_argument("--kind", choices=["elliptic", "multiplicity"], required=True)
     p.add_argument("--save-catalog", default=None, dest="save_catalog")
     common(p)
     p.set_defaults(func=cmd_pairing)

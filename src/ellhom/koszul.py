@@ -19,17 +19,19 @@ dict comprehension; the per-degree CharElements are derived on demand.
 The complex is assembled one torus weight mu at a time: every degree of
 C_.(mu) is built together, so only one small subcomplex is alive at once.
 The rows of the d_p block of mu are the basis vectors of C_p(mu), and its
-columns are their boundary coordinates in C_{p-1}(mu). Before the rank of
-the d_p block is taken, two deletions are made by shape alone, each picked
-by linalg.triangular_pick (kept rows with one fresh column each, which form
-a triangular submatrix with nonzero diagonal):
+columns are their boundary coordinates in C_{p-1}(mu). Each d_p block
+with C_{p-1}(mu) != 0 gets one shape-only pick, linalg.triangular_pick:
+rows R_p and columns P_p, one column per row, on which the unreduced d_p
+is a triangular submatrix with nonzero diagonal. So d_p is injective on
+span(R_p), and im d_p, read on the coordinates P_p, is all of them. Before
+the rank of the d_p block is taken, two deletions rest on that one fact:
 
-- (a) delete the rows labelled by the columns picked in the d_{p+1} block.
-  im d_{p+1} reaches those coordinates, so C_p = im d_{p+1} + span(the
-  other rows), and d_p d_{p+1} = 0 keeps the rank.
-- (b) delete the columns labelled by the rows picked in the reduced d_{p-1}
-  block. Their images are independent, so the deletion is injective on
-  ker d_{p-1}, which contains im d_p, and keeps the rank.
+- (a) delete the rows P_{p+1}. im d_{p+1} reaches every coordinate in
+  P_{p+1}, so C_p = im d_{p+1} + span(the other rows), and d_p d_{p+1} = 0
+  keeps the rank.
+- (b) delete the columns R_{p-1}. d_{p-1} is injective on span(R_{p-1}),
+  so dropping those coordinates is injective on ker d_{p-1}, which
+  contains im d_p, and keeps the rank.
 
 Both are exact with no arithmetic and no certificate, and sparse_int_rank
 stays the only rank routine.
@@ -312,33 +314,25 @@ def koszul_n_homology(lam: Weight, positive_system, rs: RootSystem) -> GradedHom
                 for base, c in br_terms:
                     col[base + v] = c
                 block.append(col)
+        # the pick of each d_p block, as (label in C_p, label in C_{p-1}) pairs
+        picks = {
+            p: [(labels[i], c) for i, c in triangular_pick(block)]
+            for p, (labels, block) in chain.items()
+            if p - 1 in chain
+        }
         ranks: dict[int, int] = {}
-        # labels of degree p - 1 picked as rows of the reduced d_{p-1} block
-        picked: set[int] = set()
-        for p, (labels, block) in chain.items():
-            if p - 1 not in chain:
-                # d_p is zero here, and no row of it is picked
-                picked = set()
-                continue
-            # (a) im d_{p+1} reaches the columns picked in the d_{p+1} block,
-            # so those basis vectors of C_p add nothing to im d_p
-            upper = chain.get(p + 1)
-            reached = {c for _, c in triangular_pick(upper[1])} if upper else ()
-            # (b) the images of the rows picked in d_{p-1} are independent, so
-            # dropping their coordinates is injective on ker d_{p-1}, which
-            # contains im d_p
-            kept_labels = []
+        for p in picks:
+            labels, block = chain[p]
+            reached = {c for _, c in picks.get(p + 1, ())}  # (a): the rows P_{p+1}
+            dropped = {r for r, _ in picks.get(p - 1, ())}  # (b): the columns R_{p-1}
             rows = []
             for label, col in zip(labels, block):
                 if label in reached:
                     continue
-                if not picked.isdisjoint(col):
-                    col = {c: x for c, x in col.items() if c not in picked}
+                if not dropped.isdisjoint(col):
+                    col = {c: x for c, x in col.items() if c not in dropped}
                 if col:
-                    kept_labels.append(label)
                     rows.append(col)
-            # only a nonzero d_{p+1} reads the rows picked here
-            picked = {kept_labels[i] for i, _ in triangular_pick(rows)} if upper else set()
             # the rank of the transpose equals the rank; columns become rows
             if rows:
                 ranks[p] = sparse_int_rank(rows)

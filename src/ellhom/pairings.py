@@ -1,8 +1,8 @@
-"""The multiplicity, elliptic, and homological pairings, each as one Gram
-matrix over a list of classes (``gram``), the elliptic and homological ones
-also pair by pair, and the identity checks that support them (denominator
-symmetry, Euler-class equivariance, transport between positive systems,
-duality, abelian Ext vanishing).
+"""The multiplicity and elliptic pairings, each as one Gram matrix over a
+list of classes (``gram``), the elliptic and homological ones pair by pair,
+and the identity checks that support them (denominator symmetry,
+Euler-class equivariance, transport between positive systems, duality,
+abelian Ext vanishing).
 
 All values are exact rationals; there is no tolerance parameter anywhere.
 Every context is equal rank: the pairings live on the character lattice of
@@ -126,9 +126,7 @@ def gram(kind: str, classes, ctx: PairContext) -> list[list[Fraction]]:
     (1/[W0]) * CT(x_i * conj(y_j)), each class checked and prepared once.
     ``multiplicity``: W-invariant characters chi in a compact context
     ([W0] = |W|), x = D * chi and y = chi (the Weyl integral form of dim
-    Hom). ``elliptic``: x = y = the Euler class. ``homological``: graded
-    homologies over the context's positive system, x = y = the fold
-    ``euler_class`` (the Hom double sum over degree pairs is bilinear)."""
+    Hom). ``elliptic``: x = y = the Euler class."""
     _check_rank(ctx, *classes)
     if kind == "multiplicity":
         if not ctx.w0_is_full:
@@ -138,10 +136,6 @@ def gram(kind: str, classes, ctx: PairContext) -> list[list[Fraction]]:
             raise ValueError("multiplicity pairing requires W-invariant characters")
         denominator = weyl_denominator_full(ctx.rs)
         left = [denominator * chi for chi in classes]
-    elif kind == "homological":
-        if any(h.positive_system != ctx.positive_system for h in classes):
-            raise ValueError("positive-system mismatch between a homology and the context")
-        classes = left = [euler_class(h) for h in classes]
     elif kind == "elliptic":
         left = classes
     else:
@@ -162,7 +156,9 @@ def homological_pairing(h_u: GradedHomology, h_v: GradedHomology, ctx: PairConte
     The double sum is bilinear, so it is reordered: each side's degrees are
     first folded with their signs, weight by weight (sum_p (-1)^p ch H_p,
     ``euler_class``), and the two folds are paired with one torus_pairing
-    call. The value is the same exact integer as the sum over degree pairs."""
+    call. Each fold is an Euler class, so this is the elliptic pairing by
+    construction; it stays only because the benchmark (perfbench/workloads.py
+    and perfbench/tracer.py) calls it, and no ``gram`` kind reads it."""
     if h_u.positive_system != h_v.positive_system:
         raise ValueError("positive-system mismatch between the two homologies")
     if h_u.positive_system != ctx.positive_system:
@@ -212,9 +208,10 @@ def _twist(x: CharElement, w: WeylElement, rs: RootSystem) -> CharElement:
 def check_denominator_symmetry(w: WeylElement, rs: RootSystem) -> bool:
     """prod_{alpha in wR+}(1-e^alpha) = eps(w) e^{w rho - rho} prod_{alpha in R+}(1-e^alpha),
     verified by expanding both sides exactly; the left side is its own
-    expansion over w(R+), not derived from the right."""
-    lhs = root_product([w.act(alpha) for alpha in rs.positive_roots], rs.rank)
-    return lhs == _twist(half_denominator(rs), w, rs)
+    expansion over w(R+), not derived from the right. The right side comes
+    first, so the Weyl cap of half_denominator fires before any expansion."""
+    rhs = _twist(half_denominator(rs), w, rs)
+    return root_product([w.act(alpha) for alpha in rs.positive_roots], rs.rank) == rhs
 
 
 def check_antisym_i(xi: CharElement, w: WeylElement, ctx: PairContext) -> bool:

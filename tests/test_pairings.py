@@ -120,14 +120,14 @@ def test_homological_positive_system_mismatch(a1):
         homological_pairing(h, h_neg, ctx)
 
 
-def test_homological_gram_rejects_a_wrong_rank_or_positive_system(a1, a2):
+def test_gram_rejects_a_wrong_rank_or_an_unknown_kind(a1, a2):
     ctx = compact_context(a1)
     h = kostant_homology((1,), a1)
     with pytest.raises(ValueError, match="rank mismatch"):
-        gram("homological", [h, kostant_homology((1, 0), a2)], ctx)
-    neg = tuple(tuple(-x for x in a) for a in a1.positive_roots)
-    with pytest.raises(ValueError, match="positive-system mismatch"):
-        gram("homological", [h, koszul_n_homology((1,), neg, a1)], ctx)
+        gram("elliptic", [euler_class(h), euler_class(kostant_homology((1, 0), a2))], ctx)
+    # homologies are paired through their Euler classes; gram has no kind for them
+    with pytest.raises(ValueError, match="unknown pairing kind 'homological'"):
+        gram("homological", [h], ctx)
 
 
 def test_homological_equals_elliptic_on_euler_classes(a2):
@@ -301,16 +301,15 @@ def test_custom_context_closure_validation(a2):
 
 
 def test_compact_chain_small(b2):
-    # multiplicity = elliptic = homological = delta on a small sweep
+    # multiplicity = elliptic = delta on a small sweep
     ctx = compact_context(b2)
     lams = [(0, 0), (1, 0), (0, 1), (1, 1)]
     homs = [kostant_homology(lam, b2) for lam in lams]
     ms = gram("multiplicity", [weyl_character(lam, b2) for lam in lams], ctx)
     es = gram("elliptic", [euler_class(h) for h in homs], ctx)
-    hs = gram("homological", homs, ctx)
     for i, lam in enumerate(lams):
         for j, mu in enumerate(lams):
             delta = 1 if lam == mu else 0
-            m, e, h = ms[i][j], es[i][j], hs[i][j]
-            assert m == e == h == delta
+            m, e = ms[i][j], es[i][j]
+            assert m == e == delta
             assert (e * ctx.w0_order).denominator == 1

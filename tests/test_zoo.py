@@ -67,7 +67,6 @@ def test_standard_open_orbit_pairs_to_zero():
     zero = next(m for m in mods if m.provenance == "standard_open")
     for m in mods:
         assert elliptic_pairing(zero.euler, m.euler, ctx) == 0
-        assert homological_pairing(zero.graded(), m.graded(), ctx) == 0
 
 
 def test_a1_compact_degenerate_standard_class(a1):
@@ -86,7 +85,7 @@ def test_sl2_orthogonality():
         for b in closed:
             expected = 1 if a.label == b.label else 0
             assert elliptic_pairing(a.euler, b.euler, ctx) == expected
-            assert homological_pairing(a.graded(), b.graded(), ctx) == expected
+            assert homological_pairing(a.homology, b.homology, ctx) == expected
 
 
 def test_dual_standard_example_sl2():
@@ -164,15 +163,6 @@ def test_virtual_module_validates_homology(a1):
         VirtualModule(label="bad", ctx=ctx, euler=CharElement.one(1), homology=hom)
     with pytest.raises(ValueError, match="provenance"):
         VirtualModule(label="bad", ctx=ctx, euler=CharElement.one(1), provenance="mystery")
-
-
-def test_graded_fallback_preserves_pairings(a1):
-    ctx = compact_context(a1)
-    vm = compact_irreducible((2,), ctx)
-    stripped = VirtualModule(label=vm.label, ctx=ctx, euler=vm.euler)
-    direct = homological_pairing(vm.homology, vm.homology, ctx)
-    via_split = homological_pairing(stripped.graded(), stripped.graded(), ctx)
-    assert direct == via_split
 
 
 def test_catalog_files_are_deterministic(tmp_path):
