@@ -2,7 +2,7 @@
 matrices over catalogs, and the verification suites of ``ellhom.verify``.
 
 Every subcommand takes ``--emit`` and ``--out``; each other flag is declared
-only on the subcommands that read it (``--seed`` only on ``verify``), and
+only on the subcommands that read it (``--timing`` only on ``verify``), and
 ``pairing`` rejects ``--preset`` with ``--catalog``, and ``--type`` and
 ``--bound`` with a catalog source that does not read them. A root system is
 named by one ``--type`` token such as ``A2``. Every input has one flag; there
@@ -11,8 +11,9 @@ groups, ``koszul.DIM_CAP`` on modules and ``koszul.COMPLEX_DIM_CAP`` on chain
 complexes.
 
 Exit codes: 0 all good, 1 verification failure, 2 usage error (including a
-cap hit), 3 internal error. JSON reports are deterministic for a fixed config
-and seed (timing is opt-in so that byte-identical reruns stay byte-identical).
+cap hit), 3 internal error. Every ``verify`` case runs on a fixed input set,
+so JSON reports are deterministic for a fixed config (timing is opt-in so
+that byte-identical reruns stay byte-identical).
 """
 
 from __future__ import annotations
@@ -162,16 +163,13 @@ def cmd_verify(args) -> int:
     cfg = {
         "types": [args.type] if args.type else None,
         "bound": args.bound,
-        "trials": args.trials,
-        "seed": args.seed,
         "suites": args.suite.split(",") if args.suite else list(verify.SUITES),
         "timing": args.timing,
     }
     if args.type:
         parse_type(args.type)  # an unsupported type is a usage error, before any suite runs
-    for key in ("bound", "trials"):
-        if cfg[key] <= 0:
-            raise UsageError(f"{key} must be positive, got {cfg[key]}")
+    if cfg["bound"] <= 0:
+        raise UsageError(f"bound must be positive, got {cfg['bound']}")
     unknown = [s for s in cfg["suites"] if s not in verify.SUITE_RUNNERS]
     if unknown:
         raise UsageError(f"unknown suites {unknown}; available: {', '.join(verify.SUITES)}")
@@ -236,9 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default=None, help=f"comma-separated subset of: {', '.join(verify.SUITES)}")
     p.add_argument("--type", default=None, help="restrict type-parametrized suites to one type")
     p.add_argument("--bound", type=int, default=verify.DEFAULT_BOUND)
-    p.add_argument("--trials", type=int, default=verify.DEFAULT_TRIALS)
     p.add_argument("--timing", action="store_true", help="include timing in reports")
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -197,20 +197,30 @@ def normalize_positive_system(positive_system, rs: RootSystem) -> tuple[Weight, 
     return ps
 
 
-def koszul_n_homology(lam: Weight, positive_system, rs: RootSystem) -> GradedHomology:
-    """Graded n-homology of the irreducible module V_lam, computed from the
-    chain complex; n is spanned by the root spaces of the given system."""
+def check_complex_caps(lam: Weight, rs: RootSystem) -> int:
+    """dim V_lam, after checking it against DIM_CAP and the dimension of the
+    chain complex of any positive system against COMPLEX_DIM_CAP; raises
+    CapExceededError before anything is built."""
     lam = tuple(lam)
-    ps = normalize_positive_system(positive_system, rs)
     dim = weyl_dimension(lam, rs)
     if dim > DIM_CAP:
         raise CapExceededError(f"module too large: dim V{lam} = {dim} exceeds cap {DIM_CAP}")
-    n_roots = len(ps)
+    n_roots = len(rs.positive_roots)
     if dim << n_roots > COMPLEX_DIM_CAP:
         raise CapExceededError(
             f"chain complex too large: dim V{lam} * 2^{n_roots} = {dim << n_roots} "
             f"exceeds cap {COMPLEX_DIM_CAP}"
         )
+    return dim
+
+
+def koszul_n_homology(lam: Weight, positive_system, rs: RootSystem) -> GradedHomology:
+    """Graded n-homology of the irreducible module V_lam, computed from the
+    chain complex; n is spanned by the root spaces of the given system."""
+    lam = tuple(lam)
+    ps = normalize_positive_system(positive_system, rs)
+    dim = check_complex_caps(lam, rs)
+    n_roots = len(ps)
     mod = module_for(rs, lam)
     if mod.dimension != dim:
         raise AssertionError(

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from ellhom import (
     divide_exact,
     gram,
     parse_type,
+    rootsystem,
     verify,
     weyl_character,
 )
@@ -91,9 +93,8 @@ def test_char_bad_weight_exits_2():
 
 
 def test_verify_rejects_nonpositive_caps(capsys):
-    for flag in ("--bound", "--trials"):
-        assert main(["verify", "--suite", "abelian", flag, "0"]) == 2
-        assert f"{flag[2:]} must be positive, got 0" in capsys.readouterr().err
+    assert main(["verify", "--suite", "abelian", "--bound", "0"]) == 2
+    assert "bound must be positive, got 0" in capsys.readouterr().err
 
 
 def test_homology_command(capsys):
@@ -310,11 +311,23 @@ def test_verify_weyldenom_b2(capsys):
     assert "8 elements" in case["inputs"]
 
 
-def test_verify_kazhdan_a1(capsys):
-    assert main(["verify", "--suite", "kazhdan", "--type", "A1", "--trials", "50"]) == 0
+def test_verify_weyldenom_holds_the_squared_order_to_the_weyl_cap(monkeypatch, capsys):
+    # |W(B2)|^2 = 64, read against the cap at call time
+    for cap, rc in ((63, 1), (64, 0)):
+        monkeypatch.setattr(rootsystem, "WEYL_CAP", cap)
+        assert main(["verify", "--suite", "weyldenom", "--type", "B2"]) == rc
+        actual = json.loads(capsys.readouterr().out)["reports"][0]["cases"][0]["actual"]
+        assert ("skipped: cap" in actual) == (rc == 1)
+
+
+def test_verify_schur_rank_3_uses_bound_1(capsys):
+    # rank 3 pairs the basis of coordinates <= 1 whatever the bound, and
+    # the note names the bound used; the report has no seed or trials
+    assert main(["verify", "--suite", "schur", "--type", "A3"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["summary"]["failed"] == 0
-    assert out["seed"] == 20260808
+    assert out["summary"] == {"total": 3, "passed": 3, "failed": 0}
+    assert {c["inputs"] for c in out["reports"][0]["cases"]} == {"A3, 8^2 pairs, coords <= 1"}
+    assert "seed" not in out and "trials" not in out["config"]
 
 
 def test_verify_unknown_suite_exits_2():
@@ -331,9 +344,14 @@ def test_verify_unsupported_type_exits_2(capsys):
 
 def test_verify_cap_exceeded_is_reported_not_silent(capsys):
     # |W(E7)| is over the fixed Weyl cap: the suite fails with a skip marker,
-    # osborne too, whose Weyl denominator is checked before it is expanded
-    for suite in ("weyldenom", "osborne"):
-        rc = main(["verify", "--suite", suite, "--type", "E7"])
+    # osborne too, whose Weyl denominator is checked before it is expanded;
+    # weyldenom holds |W|^2 to the cap (E6), and antisym checks its
+    # antisym(ii) complexes before antisym(i) runs (F4), each before any work
+    runs = [("weyldenom", "E7"), ("osborne", "E7"), ("weyldenom", "E6"), ("antisym", "F4")]
+    for suite, token in runs:
+        started = time.monotonic()
+        rc = main(["verify", "--suite", suite, "--type", token])
+        assert time.monotonic() - started < 30
         out = json.loads(capsys.readouterr().out)
         assert rc == 1
         case = out["reports"][0]["cases"][0]
@@ -376,8 +394,7 @@ def test_verify_reports_are_byte_identical(tmp_path):
     for out in (out1, out2):
         assert (
             main([
-                "verify", "--suite", "standard,abelian", "--seed", "5",
-                "--out", str(out),
+                "verify", "--suite", "standard,abelian", "--out", str(out),
             ])
             == 0
         )
@@ -415,12 +432,43 @@ def test_internal_error_outside_verify_exits_3(monkeypatch, capsys, error):
     ["rootsys", "--type", "A", "--rank", "2"],
     ["homology", "--type", "A2", "--weight", "1,0", "--cap-dim", "5"],
     ["verify", "--suite", "abelian", "--config", "f"],
+    ["verify", "--trials", "5"],
+    ["verify", "--seed", "5"],
 ])
 def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_config_keys_each_have_one_flag(monkeypatch):
+    # cmd_verify builds exactly default_config() from a bare `verify`, and
+    # each verify flag other than --emit and --out moves exactly one key
+    built = []
+
+    def record(cfg):
+        built.append(cfg)
+        return {"reports": [], "summary": {"total": 0, "passed": 0, "failed": 0}}
+
+    monkeypatch.setattr(verify, "run_suites", record)
+    variants = {"--suite": ["abelian"], "--type": ["A1"], "--bound": ["2"], "--timing": []}
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {opt for a in commands.choices["verify"]._actions for opt in a.option_strings}
+    assert flags - {"-h", "--help", "--emit", "--out"} == set(variants)
+    assert main(["verify"]) == 0
+    base = built.pop()
+    assert base == verify.default_config()
+    moved = []
+    for flag, value in variants.items():
+        assert main(["verify", flag, *value]) == 0
+        cfg = built.pop()
+        assert set(cfg) == set(base)
+        changed = [key for key in base if cfg[key] != base[key]]
+        assert len(changed) == 1, (flag, changed)
+        moved += changed
+    assert sorted(moved) == sorted(base)
 
 
 def test_every_declared_flag_is_read():

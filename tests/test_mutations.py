@@ -2,11 +2,13 @@
 
 Each fault below is planted with ``monkeypatch`` on the module bindings the
 suites look up, and wraps the original function without mutating anything it
-returns, so no cached module, bracket table or group is touched. The suites
-run on A2 with bound 1 (the suites without a type parameter run as always).
-Every case passes with no fault; each fault fails at least one case; and
-every case fails under at least one fault, so a check that cannot fail
-cannot be added unnoticed.
+returns, so no cached module, bracket table or group is touched. Every
+suite runs on A2 with bound 1 (the suites without a type parameter run as
+always): every case passes with no fault; each fault fails at least one
+case; and every case fails under at least one fault, so a check that cannot
+fail cannot be added unnoticed. The schur and standard suites also run on
+their default types with bound 1, and there too every case fails under at
+least one fault.
 """
 
 from ellhom import characters, charring, koszul, pairings, verify
@@ -159,7 +161,7 @@ FAULTS = {
 
 def _config():
     cfg = verify.default_config()
-    cfg.update(types=["A2"], bound=1, trials=20)
+    cfg.update(types=["A2"], bound=1)
     return cfg
 
 
@@ -172,8 +174,9 @@ def _failed(cfg):
     }
 
 
-def test_every_fault_fails_a_case_and_every_case_fails_under_a_fault(monkeypatch):
-    cfg = _config()
+def _fault_table(cfg, monkeypatch):
+    """The cases each fault fails, after checking that a clean run of cfg
+    passes and that every one of its cases fails under some fault."""
     clean = verify.run_suites(cfg)
     names = [c["name"] for r in clean["reports"] for c in r["cases"]]
     assert clean["summary"]["failed"] == 0, _failed(cfg)
@@ -183,7 +186,22 @@ def test_every_fault_fails_a_case_and_every_case_fails_under_a_fault(monkeypatch
             plant(mp)
             table[fault] = _failed(cfg)
     assert not _failed(cfg)  # every fault is gone again
-    harmless = [fault for fault, failed in table.items() if not failed]
-    assert not harmless, f"faults that fail no case: {harmless}"
     unfailable = [name for name in names if not any(name in failed for failed in table.values())]
     assert not unfailable, f"cases no fault fails: {unfailable}; table: {table}"
+    return table
+
+
+def test_every_fault_fails_a_case_and_every_case_fails_under_a_fault(monkeypatch):
+    table = _fault_table(_config(), monkeypatch)
+    harmless = [fault for fault, failed in table.items() if not failed]
+    assert not harmless, f"faults that fail no case: {harmless}"
+
+
+def test_every_schur_and_standard_case_fails_under_a_fault(monkeypatch):
+    cfg = verify.default_config()
+    cfg.update(suites=["schur", "standard"], bound=1)
+    table = _fault_table(cfg, monkeypatch)
+    # both faults break integrality, and the one elliptic Gram matrix per
+    # type shows it on every default type
+    for fault in ("kostant term dropped", "torus conjugation dropped"):
+        assert {f"schur integrality {token}" for token in verify.RANK_LE_3} <= table[fault]

@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ellhom import (
     CharElement,
@@ -12,6 +14,7 @@ from ellhom import (
     check_denominator_symmetry,
     compact_context,
     custom_context,
+    dominant_box,
     dual_class,
     elliptic_pairing,
     enumerate_weyl_group,
@@ -26,6 +29,7 @@ from ellhom import (
     split_rank_one_context,
     weyl_character,
 )
+from ellhom.verify import DEFAULT_BOUND, RANK_LE_3
 
 
 # -- multiplicity ------------------------------------------------------------
@@ -279,6 +283,39 @@ def test_elliptic_pairing_is_biadditive(b2):
         assert elliptic_pairing(c, a + b, ctx) == elliptic_pairing(c, a, ctx) + elliptic_pairing(c, b, ctx)
         # hermitian symmetry over integer coefficients
         assert torus_pairing(a, b) == torus_pairing(b, a)
+
+
+@cache
+def _schur_basis(token):
+    """The compact Euler classes ``verify``'s schur suite pairs by default,
+    their context and their elliptic Gram matrix."""
+    rs = parse_type(token)
+    ctx = compact_context(rs)
+    bound = DEFAULT_BOUND if rs.rank <= 2 else 1
+    basis = [euler_class(kostant_homology(lam, rs)) for lam in dominant_box(rs.rank, bound)]
+    return basis, ctx, gram("elliptic", basis, ctx)
+
+
+@st.composite
+def _combination_pairs(draw):
+    token = draw(st.sampled_from(RANK_LE_3))
+    size = len(_schur_basis(token)[0])
+    coeffs = st.lists(st.integers(-3, 3), min_size=size, max_size=size)
+    return token, draw(coeffs), draw(coeffs)
+
+
+@given(_combination_pairs())
+@settings(max_examples=60, deadline=None)
+def test_gram_certifies_every_integer_combination(pair):
+    # the Gram matrix over a basis decides the pairing of every integer
+    # combination of it: <sum c_i xi_i, sum d_j xi_j> = c^T G d
+    token, c, d = pair
+    basis, ctx, matrix = _schur_basis(token)
+    zero = CharElement.zero(ctx.rs.rank)
+    left = sum((xi * k for xi, k in zip(basis, c)), zero)
+    right = sum((xi * k for xi, k in zip(basis, d)), zero)
+    expected = sum(ci * g * dj for ci, row in zip(c, matrix) for g, dj in zip(row, d))
+    assert elliptic_pairing(left, right, ctx) == expected
 
 
 def test_homological_pairing_is_biadditive(a1):
