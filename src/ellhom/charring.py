@@ -348,8 +348,9 @@ def root_product(roots, rank: int) -> CharElement:
 
 
 def weyl_denominator_full(rs: RootSystem) -> CharElement:
-    """D = prod over all roots of (1 - e^alpha), expanded once per root
-    system and kept on it; it has at least |W| terms, so check_weyl_cap first."""
+    """D = prod over all roots of (1 - e^alpha) = P * conj(P), expanded once
+    per root system and kept on it; it has at least |W| terms, so check_weyl_cap
+    first. Nothing in ellhom calls it; it is kept for the benchmark and tests."""
     check_weyl_cap(rs)
     if rs._full_denominator is None:
         rs._full_denominator = root_product(rs.full_roots, rs.rank)

@@ -26,7 +26,6 @@ from .charring import (
     root_product,
     torus_pairing,
     weyl_act,
-    weyl_denominator_full,
 )
 from .koszul import GradedHomology, euler_class, normalize_positive_system
 from .linalg import sparse_int_rank
@@ -123,10 +122,12 @@ def _check_rank(ctx: PairContext, *elements):
 
 def gram(kind: str, classes, ctx: PairContext) -> list[list[Fraction]]:
     """The matrix of one pairing over a list of classes: entry (i, j) is
-    (1/[W0]) * CT(x_i * conj(y_j)), each class checked and prepared once.
+    (1/[W0]) * CT(x_i * conj(x_j)), each class checked and prepared once.
     ``multiplicity``: W-invariant characters chi in a compact context
-    ([W0] = |W|), x = D * chi and y = chi (the Weyl integral form of dim
-    Hom). ``elliptic``: x = y = the Euler class."""
+    ([W0] = |W|), x = P * chi with P the half denominator; the full
+    denominator is D = P * conj(P), so this is the Weyl integral form
+    (1/|W|) CT(D * chi * conj(chi')) of dim Hom. ``elliptic``: x = the
+    Euler class."""
     _check_rank(ctx, *classes)
     if kind == "multiplicity":
         if not ctx.w0_is_full:
@@ -134,13 +135,11 @@ def gram(kind: str, classes, ctx: PairContext) -> list[list[Fraction]]:
         reflections = [ctx.rs.simple_reflection(i) for i in range(ctx.rs.rank)]
         if any(weyl_act(s, chi) != chi for chi in classes for s in reflections):
             raise ValueError("multiplicity pairing requires W-invariant characters")
-        denominator = weyl_denominator_full(ctx.rs)
-        left = [denominator * chi for chi in classes]
-    elif kind == "elliptic":
-        left = classes
-    else:
+        half = half_denominator(ctx.rs)
+        classes = [half * chi for chi in classes]
+    elif kind != "elliptic":
         raise ValueError(f"unknown pairing kind {kind!r}")
-    return [[Fraction(torus_pairing(x, y), ctx.w0_order) for y in classes] for x in left]
+    return [[Fraction(torus_pairing(x, y), ctx.w0_order) for y in classes] for x in classes]
 
 
 def elliptic_pairing(xi_u: CharElement, xi_v: CharElement, ctx: PairContext) -> Fraction:

@@ -20,7 +20,7 @@ from .characters import (
     weyl_character,
     weyl_dimension,
 )
-from .charring import half_denominator, torus_integral, weyl_act, weyl_denominator_full
+from .charring import half_denominator, weyl_act
 from .koszul import (
     DIM_CAP,
     check_complex_caps,
@@ -45,7 +45,7 @@ DEFAULT_BOUND = 3
 
 RANK_LE_3 = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2"]
 RANK_LE_2 = ["A1", "A2", "B2", "C2", "G2"]
-SCHUR_TYPES = ["A1", "A2", "B2", "G2"]
+CHARACTER_TYPES = ["A1", "A2", "B2", "G2"]
 
 
 def _case(name, inputs, expected, actual):
@@ -64,21 +64,35 @@ def _off_identity(matrix, keys) -> int:
     return sum(1 for a, row in zip(keys, matrix) for b, v in zip(keys, row) if v != int(a == b))
 
 
+def _check_squared_weyl_cap(rs, token: str):
+    """CapExceededError when |W|^2 exceeds WEYL_CAP, read at call time."""
+    work = rs.weyl_order**2
+    if work > rootsystem.WEYL_CAP:
+        raise CapExceededError(f"suite too large: |W({token})|^2 = {work} exceeds cap {rootsystem.WEYL_CAP}")
+
+
+def _basis_bound(cfg, rs) -> int:
+    """A basis's coordinate bound: cfg's in rank <= 2, at most 1 above."""
+    return cfg["bound"] if rs.rank <= 2 else min(cfg["bound"], 1)
+
+
 def suite_schur(cfg) -> list[dict]:
     """The multiplicity and elliptic pairings both equal the Kronecker
     delta on compact irreducibles: one ``gram`` matrix each, over the Weyl
     characters and the Euler classes of their Kostant homologies, with
-    coordinates up to the bound in rank <= 2 and up to min(bound, 1) in
-    rank 3. In a compact context the Euler-Poincare pairing is dim Hom_G,
-    so the multiplicity case is the homological side of the identity. The
+    coordinates up to the bound in rank <= 2 and up to min(bound, 1) above
+    that, and |W|^2 held to the Weyl cap before any character is computed.
+    In a compact context the Euler-Poincare pairing is dim Hom_G, so the
+    multiplicity case is the homological side of the identity. The
     pairing is bilinear, so an integral elliptic Gram matrix certifies an
     integer value on every integer combination of the basis; Gram = 1 is
     the stronger identity."""
     cases = []
     for token in cfg["types"] or RANK_LE_3:
         rs = parse_type(token)
+        _check_squared_weyl_cap(rs, token)
         ctx = compact_context(rs)
-        bound = cfg["bound"] if rs.rank <= 2 else min(cfg["bound"], 1)
+        bound = _basis_bound(cfg, rs)
         lams = dominant_box(rs.rank, bound)
         grams = {
             "multiplicity": gram("multiplicity", [weyl_character(lam, rs) for lam in lams], ctx),
@@ -123,11 +137,7 @@ def suite_weyldenom(cfg) -> list[dict]:
     cases = []
     for token in cfg["types"] or RANK_LE_3:
         rs = parse_type(token)
-        work = rs.weyl_order**2
-        if work > rootsystem.WEYL_CAP:
-            raise CapExceededError(
-                f"denominator checks too large: |W({token})|^2 = {work} exceeds cap {rootsystem.WEYL_CAP}"
-            )
+        _check_squared_weyl_cap(rs, token)
         group = rs.weyl_group()
         bad = sum(0 if check_denominator_symmetry(w, rs) else 1 for w in group)
         cases.append(
@@ -214,8 +224,8 @@ def suite_standard(cfg) -> list[dict]:
         for v in product(range(-3, 4), repeat=rs.rank):
             for s in (0, 1):
                 datum = GeometricDatum(closed=True, v_weight=v, s=s, ctx=cctx)
-                direct = dual_standard_class(datum).euler
-                composed = dual_class(standard_module_class(datum).euler, cctx)
+                direct = dual_standard_class(datum)
+                composed = dual_class(standard_module_class(datum), cctx)
                 count += 1
                 if direct != composed:
                     bad_dual += 1
@@ -225,24 +235,21 @@ def suite_standard(cfg) -> list[dict]:
 
 
 def suite_oracles(cfg) -> list[dict]:
-    """Cross-checks: the two character algorithms agree, and CT(D) = |W|."""
+    """Freudenthal and Weyl characters agree and sum to the Weyl dimension,
+    on the basis of ``schur`` and under its Weyl cap."""
     cases = []
-    for token in cfg["types"] or SCHUR_TYPES:
+    for token in cfg["types"] or CHARACTER_TYPES:
         rs = parse_type(token)
+        _check_squared_weyl_cap(rs, token)
+        bound = _basis_bound(cfg, rs)
         bad = 0
-        lams = dominant_box(rs.rank, cfg["bound"])
+        lams = dominant_box(rs.rank, bound)
         for lam in lams:
             chi_f = freudenthal_character(lam, rs)
             chi_w = weyl_character(lam, rs)
             if chi_f != chi_w or chi_f.coefficient_sum() != weyl_dimension(lam, rs):
                 bad += 1
-        cases.append(_case(f"oracles characters {token}", f"{len(lams)} weights, coords <= {cfg['bound']}", "0 mismatches", f"{bad} mismatches"))
-    bad_ct = []
-    for token in RANK_LE_3:
-        rs = parse_type(token)
-        if torus_integral(weyl_denominator_full(rs)) != rs.weyl_order:
-            bad_ct.append(token)
-    cases.append(_case("oracles CT(D) = |W|", ", ".join(RANK_LE_3), "all match", "all match" if not bad_ct else f"off: {bad_ct}"))
+        cases.append(_case(f"oracles characters {token}", f"{len(lams)} weights, coords <= {bound}", "0 mismatches", f"{bad} mismatches"))
     return cases
 
 

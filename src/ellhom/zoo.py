@@ -84,62 +84,39 @@ def compact_irreducible(lam: Weight, ctx: PairContext) -> VirtualModule:
     )
 
 
-def standard_module_class(datum: GeometricDatum) -> VirtualModule:
+def standard_module_class(datum: GeometricDatum) -> CharElement:
     """Euler class of a standard module. Closed orbit:
     (-1)^{s+|R+|} sum_{w in W0} eps(w) e^{w v} e^{rho-w rho}; non-closed
     orbit: the zero class."""
     ctx = datum.ctx
-    rank = ctx.rs.rank
     if not datum.closed:
-        return VirtualModule(
-            label=f"std-open{datum.v_weight}",
-            ctx=ctx,
-            euler=CharElement.zero(rank),
-            provenance="standard_open",
-        )
+        return CharElement.zero(ctx.rs.rank)
     sign = (-1) ** (datum.s + len(ctx.rs.positive_roots))
     terms: dict[Weight, int] = {}
     for w in ctx.w0:
         shift = rho_shift(w, ctx.rs)  # rho - w rho
         mu = tuple(x + y for x, y in zip(w.act(datum.v_weight), shift))
         terms[mu] = terms.get(mu, 0) + sign * w.sign
-    return VirtualModule(
-        label=f"std{datum.v_weight}",
-        ctx=ctx,
-        euler=CharElement(rank, terms),
-        provenance="standard_closed",
-    )
+    return CharElement(ctx.rs.rank, terms)
 
 
-def dual_standard_class(datum: GeometricDatum) -> VirtualModule:
+def dual_standard_class(datum: GeometricDatum) -> CharElement:
     """Euler class of the dual of a standard module, from the direct
-    formula (-1)^s sum_{w in W0} eps(w) e^{-w v} e^{rho+w rho}; must agree
-    exactly with dual_class(standard_module_class(datum))."""
+    formula (-1)^s sum_{w in W0} eps(w) e^{-w v} e^{rho+w rho} (the zero
+    class for a non-closed orbit); must agree exactly with
+    dual_class(standard_module_class(datum))."""
     ctx = datum.ctx
-    rank = ctx.rs.rank
     if not datum.closed:
-        return VirtualModule(
-            label=f"dual-std-open{datum.v_weight}",
-            ctx=ctx,
-            euler=CharElement.zero(rank),
-            provenance="standard_open",
-        )
+        return CharElement.zero(ctx.rs.rank)
     sign = (-1) ** datum.s
     two_rho = tuple(2 * x for x in ctx.rs.rho)
     terms: dict[Weight, int] = {}
     for w in ctx.w0:
         shift = rho_shift(w, ctx.rs)
         rho_plus_wrho = tuple(t - s for t, s in zip(two_rho, shift))
-        mu = tuple(
-            -x + y for x, y in zip(w.act(datum.v_weight), rho_plus_wrho)
-        )
+        mu = tuple(-x + y for x, y in zip(w.act(datum.v_weight), rho_plus_wrho))
         terms[mu] = terms.get(mu, 0) + sign * w.sign
-    return VirtualModule(
-        label=f"dual-std{datum.v_weight}",
-        ctx=ctx,
-        euler=CharElement(rank, terms),
-        provenance="dual_of",
-    )
+    return CharElement(ctx.rs.rank, terms)
 
 
 def sl2_presets(weight_bound: int = 3) -> list[VirtualModule]:
@@ -153,27 +130,21 @@ def sl2_presets(weight_bound: int = 3) -> list[VirtualModule]:
     modules = []
     for mu in range(-weight_bound, weight_bound + 1):
         datum = GeometricDatum(closed=True, v_weight=(mu,), s=0, ctx=ctx)
-        vm = standard_module_class(datum)
         modules.append(
             VirtualModule(
                 label=f"DS{mu:+d}",
                 ctx=ctx,
-                euler=vm.euler,
+                euler=standard_module_class(datum),
                 homology=GradedHomology(
-                    classes=(
-                        CharElement.zero(1),
-                        CharElement.monomial((mu,)),
-                    ),
+                    classes=(CharElement.zero(1), CharElement.monomial((mu,))),
                     positive_system=ctx.positive_system,
                     rank=1,
                 ),
                 provenance="standard_closed",
             )
         )
-    open_datum = GeometricDatum(closed=False, v_weight=(0,), s=0, ctx=ctx)
-    vm = standard_module_class(open_datum)
     modules.append(
-        VirtualModule(label="PS0", ctx=ctx, euler=vm.euler, provenance="standard_open")
+        VirtualModule(label="PS0", ctx=ctx, euler=CharElement.zero(1), provenance="standard_open")
     )
     return modules
 

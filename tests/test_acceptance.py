@@ -13,7 +13,7 @@ from ellhom import verify
 from ellhom.cli import _emit
 
 # sha256 of the `ellhom verify --emit json` output for the default config
-VERIFY_JSON_SHA256 = "39a53e8b87dbdf2d79877414d8f741ce000313a2b4534e686eb4deafd27fb034"
+VERIFY_JSON_SHA256 = "a1afdbe307bf0ba83551a2d4f45a4afb6fc6d55e79677e8853de14d4feffc2df"
 
 
 @pytest.fixture(scope="module")

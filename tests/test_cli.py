@@ -204,7 +204,7 @@ def test_pairing_multiplicity_divides_once_per_module(monkeypatch, capsys):
         return divide_exact(p, q, rs)
 
     def counting_mul(a, b):
-        # the products pairings makes are the D * chi of the multiplicity matrix
+        # the products pairings makes are the P * chi of the multiplicity matrix
         if sys._getframe(1).f_globals["__name__"] == "ellhom.pairings":
             products.append(b)
         return multiply(a, b)
@@ -345,9 +345,11 @@ def test_verify_unsupported_type_exits_2(capsys):
 def test_verify_cap_exceeded_is_reported_not_silent(capsys):
     # |W(E7)| is over the fixed Weyl cap: the suite fails with a skip marker,
     # osborne too, whose Weyl denominator is checked before it is expanded;
-    # weyldenom holds |W|^2 to the cap (E6), and antisym checks its
-    # antisym(ii) complexes before antisym(i) runs (F4), each before any work
-    runs = [("weyldenom", "E7"), ("osborne", "E7"), ("weyldenom", "E6"), ("antisym", "F4")]
+    # weyldenom, schur and oracles hold |W|^2 to the cap (E6, F4), and
+    # antisym checks its antisym(ii) complexes before antisym(i) runs (F4),
+    # each before any work
+    runs = [("weyldenom", "E7"), ("osborne", "E7"), ("weyldenom", "E6"), ("antisym", "F4"),
+            ("schur", "F4"), ("oracles", "E6")]
     for suite, token in runs:
         started = time.monotonic()
         rc = main(["verify", "--suite", suite, "--type", token])
@@ -357,6 +359,21 @@ def test_verify_cap_exceeded_is_reported_not_silent(capsys):
         case = out["reports"][0]["cases"][0]
         assert case["pass"] is False
         assert "skipped: cap" in case["actual"]
+
+
+def test_rank_4_characters_and_multiplicity_gram_pass_quickly(capsys):
+    # |W(B4)|^2 = 147456 is under the Weyl cap; the multiplicity Gram pairs
+    # P * chi, so B4 at bound 1 stays within seconds
+    runs = [
+        ["verify", "--suite", "schur", "--type", "B4"],
+        ["verify", "--suite", "oracles", "--type", "B4"],
+        ["pairing", "--preset", "compact", "--type", "B4", "--bound", "1", "--kind", "multiplicity"],
+    ]
+    for argv in runs:
+        started = time.monotonic()
+        assert main(argv) == 0
+        assert time.monotonic() - started < 30
+        capsys.readouterr()
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

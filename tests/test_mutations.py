@@ -115,14 +115,15 @@ def _kostant_term(mp):
 
 
 def _denominator_root(mp):
-    """The full Weyl denominator verify and the multiplicity Gram matrix
-    of pairings read misses the factor of its first root."""
+    """The half Weyl denominator verify and pairings read (the osborne
+    suite, the denominator symmetry and the multiplicity Gram matrix)
+    misses the factor of its first positive root."""
 
     def faulty(rs):
-        return charring.root_product(rs.full_roots[1:], rs.rank)
+        return charring.root_product(rs.positive_roots[1:], rs.rank)
 
-    mp.setattr(verify, "weyl_denominator_full", faulty)
-    mp.setattr(pairings, "weyl_denominator_full", faulty)
+    mp.setattr(verify, "half_denominator", faulty)
+    mp.setattr(pairings, "half_denominator", faulty)
 
 
 def _division_drops_a_term(mp):
@@ -205,3 +206,6 @@ def test_every_schur_and_standard_case_fails_under_a_fault(monkeypatch):
     # type shows it on every default type
     for fault in ("kostant term dropped", "torus conjugation dropped"):
         assert {f"schur integrality {token}" for token in verify.RANK_LE_3} <= table[fault]
+    # with a root missing, CT(P * conj(P)) is no longer |W|, so the
+    # (trivial, trivial) entry of every multiplicity Gram matrix is off
+    assert {f"schur multiplicity {token}" for token in verify.RANK_LE_3} <= table["denominator root dropped"]

@@ -2,12 +2,16 @@
 tracer for ``perfbench/run.py --trace 1`` and the faults for
 ``perfbench/selftest.py``. A renamed or dropped binding, or a rank taken
 around the wrapped one, would break them; a fresh interpreter that installs
-the tracer, or plants the rank fault, catches that."""
+the tracer, or plants the rank fault, catches that. The workloads call
+``ellhom`` functions by module attribute name too, and a walk of their
+source checks that every such name exists."""
 
+import ast
+import importlib
 import subprocess
 import sys
 
-from conftest import subprocess_env
+from conftest import ROOT, subprocess_env
 
 
 def test_tracer_installs_on_every_listed_binding():
@@ -41,3 +45,21 @@ def test_benchmark_rank_fault_reaches_the_oracle():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_ellhom_name_the_workloads_read_exists():
+    # some names the workloads call (weyl_denominator_full, torus_integral,
+    # homological_pairing) have no caller in ellhom itself, so deleting one
+    # would otherwise go unnoticed until a full benchmark run
+    path = ROOT / "perfbench" / "workloads.py"
+    modules = {name: importlib.import_module(f"ellhom.{name}") for name in
+               ("characters", "charring", "koszul", "pairings", "rootsystem", "zoo")}
+    read = {
+        (node.value.id, node.attr)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert ("charring", "weyl_denominator_full") in read
+    missing = sorted(f"{m}.{name}" for m, name in read if not hasattr(modules[m], name))
+    assert not missing, f"perfbench/workloads.py reads names ellhom lacks: {missing}"

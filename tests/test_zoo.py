@@ -74,7 +74,7 @@ def test_a1_compact_degenerate_standard_class(a1):
     # lowest weight -lam reproduces the compact irreducible Euler class
     ctx = compact_context(a1)
     datum = GeometricDatum(closed=True, v_weight=(-1,), s=1, ctx=ctx)
-    assert standard_module_class(datum).euler == CharElement(1, {(-1,): 1, (3,): -1})
+    assert standard_module_class(datum) == CharElement(1, {(-1,): 1, (3,): -1})
 
 
 def test_sl2_orthogonality():
@@ -94,8 +94,8 @@ def test_dual_standard_example_sl2():
     datum = GeometricDatum(closed=True, v_weight=(1,), s=0, ctx=ctx)
     direct = dual_standard_class(datum)
     # (-1)^s e^{-w v} e^{rho + w rho} with trivial W0: e^{2 rho - v} = e^{(1,)}
-    assert direct.euler == CharElement(1, {(1,): 1})
-    assert direct.euler == dual_class(standard_module_class(datum).euler, ctx)
+    assert direct == CharElement(1, {(1,): 1})
+    assert direct == dual_class(standard_module_class(datum), ctx)
 
 
 @pytest.mark.parametrize("token", ["A1", "A2", "B2"])
@@ -107,15 +107,15 @@ def test_dual_formulas_agree_seeded(token):
         v = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
         datum = GeometricDatum(closed=True, v_weight=v, s=rng.randint(0, 4), ctx=ctx)
         std = standard_module_class(datum)
-        assert dual_standard_class(datum).euler == dual_class(std.euler, ctx)
+        assert dual_standard_class(datum) == dual_class(std, ctx)
         # double dual is the original class
-        assert dual_class(dual_class(std.euler, ctx), ctx) == std.euler
+        assert dual_class(dual_class(std, ctx), ctx) == std
 
 
 def test_dual_of_open_orbit_is_zero(a1):
     ctx = compact_context(a1)
     datum = GeometricDatum(closed=False, v_weight=(0,), s=1, ctx=ctx)
-    assert dual_standard_class(datum).euler.is_zero()
+    assert dual_standard_class(datum).is_zero()
 
 
 def test_singular_closed_orbit_class_cancels(b2):
@@ -125,7 +125,7 @@ def test_singular_closed_orbit_class_cancels(b2):
 
     ctx = custom_context(b2, [b2.simple_reflection(0)])
     datum = GeometricDatum(closed=True, v_weight=(1, 2), s=1, ctx=ctx)
-    assert standard_module_class(datum).euler.is_zero()
+    assert standard_module_class(datum).is_zero()
 
 
 def test_closed_orbit_classes_satisfy_antisym(b2):
@@ -135,7 +135,7 @@ def test_closed_orbit_classes_satisfy_antisym(b2):
         v = tuple(rng.randint(-2, 2) for _ in range(2))
         xi = standard_module_class(
             GeometricDatum(closed=True, v_weight=v, s=rng.randint(0, 2), ctx=ctx)
-        ).euler
+        )
         for w in ctx.w0:
             assert check_antisym_i(xi, w, ctx)
 
@@ -194,7 +194,7 @@ def test_catalog_with_user_supplied_w0(b2, tmp_path):
     ctx = custom_context(b2, [b2.simple_reflection(0)])
     assert ctx.w0_order == 2
     datum = GeometricDatum(closed=True, v_weight=(2, 1), s=1, ctx=ctx)
-    vm = standard_module_class(datum)
+    vm = VirtualModule(label="std", ctx=ctx, euler=standard_module_class(datum))
     assert len(vm.euler.terms) == 2  # two-element W0 sum
     cat = Catalog(context=ctx, modules=(vm,))
     path = tmp_path / "w0.json"
