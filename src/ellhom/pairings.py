@@ -13,7 +13,6 @@ stated once here and used consistently by the elliptic pairing and duals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
@@ -41,25 +40,26 @@ from .rootsystem import (
 )
 
 
-@dataclass(frozen=True)
 class PairContext:
     """Everything a pairing needs: the root system, a positive system, and
     the subgroup W0 normalizing the compact Cartan. Every context is equal
     rank; the catalog format records that as ``"equal_rank": true``
-    and refuses any other value.
+    and refuses any other value. Immutable.
     """
 
-    rs: RootSystem
-    positive_system: tuple[Weight, ...]
-    w0: WeylSubgroup
+    __slots__ = ("rs", "positive_system", "w0")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "positive_system", normalize_positive_system(self.positive_system, self.rs)
-        )
-        for w in self.w0:
-            if w.rank != self.rs.rank:
+    def __init__(self, rs: RootSystem, positive_system: tuple[Weight, ...], w0: WeylSubgroup):
+        set_slot = object.__setattr__
+        set_slot(self, "rs", rs)
+        set_slot(self, "positive_system", normalize_positive_system(positive_system, rs))
+        set_slot(self, "w0", w0)
+        for w in w0:
+            if w.rank != rs.rank:
                 raise ValueError("W0 element rank does not match the root system")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PairContext is immutable; cannot set {name!r}")
 
     @property
     def w0_order(self) -> int:

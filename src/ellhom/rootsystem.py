@@ -8,9 +8,9 @@ w(lambda+rho)+rho, 2*rho) stay inside the integral weight lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from math import factorial, gcd
 from operator import mul, neg
@@ -130,13 +130,11 @@ def _matmul(a, b) -> tuple[tuple[int, ...], ...]:
     return tuple(_matvec(cols, row) for row in a)
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """A Weyl group element as an integer matrix on weight coordinates."""
+class WeylElement(namedtuple("WeylElement", "matrix length sign")):
+    """A Weyl group element as an integer matrix on weight coordinates,
+    with its length and sign; equal and hashed by value."""
 
-    matrix: tuple[tuple[int, ...], ...]
-    length: int
-    sign: int
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -149,11 +147,18 @@ class WeylElement:
         return _matvec(self.matrix, mu)
 
 
-@dataclass(frozen=True)
 class WeylSubgroup:
-    """A subgroup of W given by an explicit, closed element list."""
+    """A subgroup of W given by an explicit, closed element list.
+    Immutable; membership is by matrix, against a set built on first use."""
 
-    elements: tuple[WeylElement, ...]
+    __slots__ = ("elements", "_matrices")
+
+    def __init__(self, elements: tuple[WeylElement, ...]):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_matrices", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"WeylSubgroup is immutable; cannot set {name!r}")
 
     @property
     def order(self) -> int:
@@ -162,11 +167,9 @@ class WeylSubgroup:
     def __iter__(self):
         return iter(self.elements)
 
-    @cached_property
-    def _matrices(self) -> frozenset:
-        return frozenset(u.matrix for u in self.elements)
-
     def __contains__(self, w: WeylElement) -> bool:
+        if self._matrices is None:
+            object.__setattr__(self, "_matrices", frozenset(u.matrix for u in self.elements))
         return w.matrix in self._matrices
 
 

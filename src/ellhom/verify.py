@@ -112,15 +112,19 @@ def suite_osborne(cfg) -> list[dict]:
     degree (an Euler class alone cannot see a wrong rank), and of its Euler
     class with half_denominator times the Weyl character. Equal homologies
     have equal Euler classes, so the closed-form Euler class needs no
-    comparison of its own."""
+    comparison of its own. The caps of every complex of a type are checked
+    before its first complex is built."""
     cases = []
     bound = min(cfg["bound"], 2)
     for token in cfg["types"] or RANK_LE_2:
         rs = parse_type(token)
         half = half_denominator(rs)
+        lams = dominant_box(rs.rank, bound)
+        for lam in lams:
+            check_complex_caps(lam, rs)
         bad = 0
         count = 0
-        for lam in dominant_box(rs.rank, bound):
+        for lam in lams:
             gh = koszul_n_homology(lam, rs.positive_roots, rs)
             count += 1
             if gh != kostant_homology(lam, rs) or euler_class(gh) != half * weyl_character(lam, rs):

@@ -8,7 +8,6 @@ and diffable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .charring import CharElement, json_field
 from .koszul import GradedHomology, euler_class, kostant_homology
@@ -19,44 +18,53 @@ PROVENANCES = (
     "compact_irreducible",
     "standard_closed",
     "standard_open",
-    "dual_of",
     "external",
 )
 
 
-@dataclass(frozen=True)
 class GeometricDatum:
     """Orbit data for a standard-module class: whether the orbit is closed,
-    the lattice weight of the fiber module, and s = half dim(K/T)."""
+    the lattice weight of the fiber module, and s = half dim(K/T).
+    Immutable."""
 
-    closed: bool
-    v_weight: Weight
-    s: int
-    ctx: PairContext
+    __slots__ = ("closed", "v_weight", "s", "ctx")
 
-    def __post_init__(self):
-        if len(self.v_weight) != self.ctx.rs.rank:
+    def __init__(self, closed: bool, v_weight: Weight, s: int, ctx: PairContext):
+        set_slot = object.__setattr__
+        set_slot(self, "closed", closed)
+        set_slot(self, "v_weight", v_weight)
+        set_slot(self, "s", s)
+        set_slot(self, "ctx", ctx)
+        if len(v_weight) != ctx.rs.rank:
             raise ValueError("fiber weight rank does not match the context")
-        if self.s < 0:
+        if s < 0:
             raise ValueError("s must be nonnegative")
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GeometricDatum is immutable; cannot set {name!r}")
 
-@dataclass(frozen=True)
+
 class VirtualModule:
     """A labeled Grothendieck-group class carrying its Euler class and,
-    when available, the full graded homology behind it."""
+    when available, the full graded homology behind it. Immutable."""
 
-    label: str
-    ctx: PairContext
-    euler: CharElement
-    homology: GradedHomology | None = None
-    provenance: str = "external"
+    __slots__ = ("label", "ctx", "euler", "homology", "provenance")
 
-    def __post_init__(self):
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if self.homology is not None and euler_class(self.homology) != self.euler:
+    def __init__(self, label: str, ctx: PairContext, euler: CharElement,
+                 homology: GradedHomology | None = None, provenance: str = "external"):
+        set_slot = object.__setattr__
+        set_slot(self, "label", label)
+        set_slot(self, "ctx", ctx)
+        set_slot(self, "euler", euler)
+        set_slot(self, "homology", homology)
+        set_slot(self, "provenance", provenance)
+        if provenance not in PROVENANCES:
+            raise ValueError(f"unknown provenance {provenance!r}")
+        if homology is not None and euler_class(homology) != euler:
             raise ValueError("stored homology does not alternate to the Euler class")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"VirtualModule is immutable; cannot set {name!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -149,12 +157,17 @@ def sl2_presets(weight_bound: int = 3) -> list[VirtualModule]:
     return modules
 
 
-@dataclass(frozen=True)
 class Catalog:
     """An immutable zoo: one context plus its module classes."""
 
-    context: PairContext
-    modules: tuple[VirtualModule, ...]
+    __slots__ = ("context", "modules")
+
+    def __init__(self, context: PairContext, modules: tuple[VirtualModule, ...]):
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "modules", modules)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Catalog is immutable; cannot set {name!r}")
 
     def to_dict(self) -> dict:
         return {

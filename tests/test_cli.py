@@ -37,6 +37,21 @@ def run_cli(*argv):
     return proc
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every command starts a fresh interpreter and pays for what ``import
+    # ellhom`` loads; comparing sys.modules before and after the import keeps
+    # the check independent of what site preloads (a preloaded typing passes
+    # here, but a clean interpreter would show it)
+    code = ("import sys; before = set(sys.modules); import ellhom; "
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "ellhom.zoo" in added
+    assert not added & {"dataclasses", "inspect", "typing"}
+
+
 def test_rootsys_json_matches_interface(capsys):
     assert main(["rootsys", "--type", "A2"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -342,23 +357,28 @@ def test_verify_unsupported_type_exits_2(capsys):
     assert "unsupported type/rank" in capsys.readouterr().err
 
 
-def test_verify_cap_exceeded_is_reported_not_silent(capsys):
+def test_verify_cap_exceeded_is_reported_not_silent(monkeypatch, capsys):
     # |W(E7)| is over the fixed Weyl cap: the suite fails with a skip marker,
     # osborne too, whose Weyl denominator is checked before it is expanded;
     # weyldenom, schur and oracles hold |W|^2 to the cap (E6, F4), and
-    # antisym checks its antisym(ii) complexes before antisym(i) runs (F4),
-    # each before any work
+    # antisym (F4) and osborne (B3, whose (1,1,1) complex is over the complex
+    # cap) check the caps of all their complexes before building any, each
+    # before any work
+    built = []
+    build = verify.koszul_n_homology
+    monkeypatch.setattr(verify, "koszul_n_homology", lambda *a: built.append(a) or build(*a))
     runs = [("weyldenom", "E7"), ("osborne", "E7"), ("weyldenom", "E6"), ("antisym", "F4"),
-            ("schur", "F4"), ("oracles", "E6")]
-    for suite, token in runs:
+            ("schur", "F4"), ("oracles", "E6"), ("osborne", "B3", "--bound", "1")]
+    for suite, token, *extra in runs:
         started = time.monotonic()
-        rc = main(["verify", "--suite", suite, "--type", token])
+        rc = main(["verify", "--suite", suite, "--type", token, *extra])
         assert time.monotonic() - started < 30
         out = json.loads(capsys.readouterr().out)
         assert rc == 1
         case = out["reports"][0]["cases"][0]
         assert case["pass"] is False
         assert "skipped: cap" in case["actual"]
+    assert built == []
 
 
 def test_rank_4_characters_and_multiplicity_gram_pass_quickly(capsys):

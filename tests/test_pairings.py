@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ellhom import (
     CharElement,
+    PairContext,
     antisym_transport,
     check_antisym_i,
     check_denominator_symmetry,
@@ -350,3 +351,8 @@ def test_compact_chain_small(b2):
             m, e = ms[i][j], es[i][j]
             assert m == e == delta
             assert (e * ctx.w0_order).denominator == 1
+
+
+def test_context_rejects_a_w0_element_of_another_rank(a1, a2):
+    with pytest.raises(ValueError, match="W0 element rank does not match the root system"):
+        PairContext(rs=a2, positive_system=a2.positive_roots, w0=a1.weyl_group())

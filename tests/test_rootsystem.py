@@ -399,3 +399,13 @@ def test_outer_automorphisms_are_rejected(a2):
     tri = ((0, 0, 0, 1), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0))
     with pytest.raises(ValueError, match="not lie in the Weyl group"):
         d4.element_from_matrix(tri)
+
+
+def test_weyl_elements_are_equal_and_hashed_by_value(a2):
+    group = a2.weyl_group()
+    s0 = a2.simple_reflection(0)
+    again = rootsystem.WeylElement(matrix=s0.matrix, length=1, sign=-1)
+    assert again == s0 and hash(again) == hash(s0)
+    assert a2.element_from_matrix(s0.matrix) == s0
+    assert s0 != a2.identity_element() and s0 != a2.simple_reflection(1)
+    assert again in group and again in set(group) and len(set(group) | {again}) == group.order

@@ -165,6 +165,44 @@ def test_virtual_module_validates_homology(a1):
         VirtualModule(label="bad", ctx=ctx, euler=CharElement.one(1), provenance="mystery")
 
 
+def test_geometric_datum_validates_weight_rank_and_s(a2):
+    ctx = compact_context(a2)
+    with pytest.raises(ValueError, match="fiber weight rank does not match the context"):
+        GeometricDatum(closed=True, v_weight=(1,), s=0, ctx=ctx)
+    with pytest.raises(ValueError, match="s must be nonnegative"):
+        GeometricDatum(closed=False, v_weight=(1, 0), s=-1, ctx=ctx)
+
+
+def test_records_refuse_assignment(a1):
+    ctx = compact_context(a1)
+    records = [
+        (a1.simple_reflection(0), "length"),
+        (ctx.w0, "elements"),
+        (ctx, "positive_system"),
+        (GeometricDatum(closed=True, v_weight=(1,), s=0, ctx=ctx), "s"),
+        (compact_irreducible((1,), ctx), "label"),
+        (compact_catalog(a1, 1), "modules"),
+    ]
+    for record, name in records:
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        assert getattr(record, name) is value
+
+
+def test_dual_of_provenance_is_a_usage_error(tmp_path, capsys):
+    # no code produces "dual_of", so a catalog file carrying it is refused
+    from ellhom.cli import main
+
+    path = tmp_path / "cat.json"
+    sl2_catalog(1).save(path)
+    data = json.loads(path.read_text())
+    data["modules"][0]["provenance"] = "dual_of"
+    path.write_text(json.dumps(data))
+    assert main(["pairing", "--catalog", str(path), "--kind", "elliptic"]) == 2
+    assert "unknown provenance 'dual_of'" in capsys.readouterr().err
+
+
 def test_catalog_files_are_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     sl2_catalog(2).save(p1)
