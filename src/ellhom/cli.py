@@ -7,8 +7,8 @@ only on the subcommands that read it (``--timing`` only on ``verify``), and
 ``--bound`` with a catalog source that does not read them. A root system is
 named by one ``--type`` token such as ``A2``. Every input has one flag; there
 is no config file. The caps are fixed: ``rootsystem.WEYL_CAP`` on Weyl
-groups, ``koszul.DIM_CAP`` on modules and ``koszul.COMPLEX_DIM_CAP`` on chain
-complexes.
+groups and on n * max(n, |W|) for n classes, ``koszul.DIM_CAP`` on modules
+and ``koszul.COMPLEX_DIM_CAP`` on chain complexes.
 
 Exit codes: 0 all good, 1 verification failure, 2 usage error (including a
 cap hit), 3 internal error. Every ``verify`` case runs on a fixed input set,

@@ -60,7 +60,7 @@ from .characters import require_dominant, weyl_dimension
 from .charring import CharElement, json_field, json_ints, merge_terms
 from .hwmodule import module_for, structure_constants
 from .linalg import sparse_int_rank, triangular_pick
-from .rootsystem import CapExceededError, RootSystem, Weight
+from .rootsystem import CapExceededError, Frozen, RootSystem, Weight
 
 # bound on dim V, the dimension of the module
 DIM_CAP = 2000
@@ -68,17 +68,15 @@ DIM_CAP = 2000
 COMPLEX_DIM_CAP = 1 << 16
 
 
-class GradedHomology:
+class GradedHomology(Frozen):
     """The graded character sum_p t^p ch H_p(n, V), p = 0..degrees-1, with
     the chosen n, stored as one sparse map terms {(p, mu): dim H_p[mu]}
     (nonzero int entries only). Immutable and hashable; two are equal when
     their degree counts, positive systems, ranks and terms are.
 
-    ``classes`` is the per-degree view, a tuple of CharElements derived
-    once and cached; ``euler_class`` is derived once and cached the same
-    way, in ``_euler``."""
+    ``classes`` is the per-degree view, a tuple of CharElements."""
 
-    __slots__ = ("terms", "degrees", "positive_system", "rank", "_classes", "_euler")
+    __slots__ = ("terms", "degrees", "positive_system", "rank")
 
     def __init__(self, classes, positive_system, rank: int):
         terms: dict[tuple[int, Weight], int] = {}
@@ -86,38 +84,29 @@ class GradedHomology:
             if not isinstance(cls, CharElement) or cls.rank != rank:
                 raise ValueError(f"degree {p} is not a character of rank {rank}")
             terms.update(((p, mu), c) for mu, c in cls.terms.items())
-        self._set(terms, len(classes), tuple(positive_system), rank)
-
-    def _set(self, terms, degrees, positive_system, rank):
-        set_slot = object.__setattr__
-        set_slot(self, "terms", terms)
-        set_slot(self, "degrees", degrees)
-        set_slot(self, "positive_system", positive_system)
-        set_slot(self, "rank", rank)
-        set_slot(self, "_classes", None)
-        set_slot(self, "_euler", None)
+        self._set(terms=terms, degrees=len(classes), positive_system=tuple(positive_system), rank=rank)
 
     @classmethod
     def _of(cls, terms, degrees: int, positive_system, rank: int) -> "GradedHomology":
         """The trusted constructor for arithmetic results: wraps terms
         without validating them. The caller guarantees keys (p, mu) with
-        0 <= p < degrees and mu of length rank, and nonzero int values."""
+        0 <= p < degrees and mu of length rank, and nonzero int values.
+        Many arithmetic results are built, so the slots are filled directly,
+        without ``_set``'s keyword call."""
         res = cls.__new__(cls)
-        res._set(terms, degrees, positive_system, rank)
+        fill = object.__setattr__
+        fill(res, "terms", terms)
+        fill(res, "degrees", degrees)
+        fill(res, "positive_system", positive_system)
+        fill(res, "rank", rank)
         return res
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"GradedHomology is immutable; cannot set {name!r}")
 
     @property
     def classes(self) -> tuple[CharElement, ...]:
-        if self._classes is None:
-            per_degree: list[dict[Weight, int]] = [{} for _ in range(self.degrees)]
-            for (p, mu), c in self.terms.items():
-                per_degree[p][mu] = c
-            classes = tuple(CharElement._of(self.rank, d) for d in per_degree)
-            object.__setattr__(self, "_classes", classes)
-        return self._classes
+        per_degree: list[dict[Weight, int]] = [{} for _ in range(self.degrees)]
+        for (p, mu), c in self.terms.items():
+            per_degree[p][mu] = c
+        return tuple(CharElement._of(self.rank, d) for d in per_degree)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedHomology):
@@ -357,9 +346,7 @@ def koszul_n_homology(lam: Weight, positive_system, rs: RootSystem) -> GradedHom
 
 def euler_class(gh: GradedHomology) -> CharElement:
     """The graded character at t = -1: sum_p (-1)^p ch H_p, one signed fold
-    over the terms, made on the first call and kept on gh."""
-    if gh._euler is not None:
-        return gh._euler
+    over the terms."""
     out: dict[Weight, int] = {}
     get = out.get
     for (p, mu), c in gh.terms.items():
@@ -368,9 +355,7 @@ def euler_class(gh: GradedHomology) -> CharElement:
             out[mu] = v
         else:
             del out[mu]
-    euler = CharElement._of(gh.rank, out)
-    object.__setattr__(gh, "_euler", euler)
-    return euler
+    return CharElement._of(gh.rank, out)
 
 
 def euler_class_closed_form(lam: Weight, rs: RootSystem) -> CharElement:

@@ -29,18 +29,20 @@ from .charring import (
 from .koszul import GradedHomology, euler_class, normalize_positive_system
 from .linalg import sparse_int_rank
 from .rootsystem import (
+    Frozen,
     RootSystem,
     Weight,
     WeylElement,
     WeylSubgroup,
     build_root_system,
+    check_gram_cap,
     rho_shift,
     subgroup_from_generators,
     trivial_subgroup,
 )
 
 
-class PairContext:
+class PairContext(Frozen):
     """Everything a pairing needs: the root system, a positive system, and
     the subgroup W0 normalizing the compact Cartan. Every context is equal
     rank; the catalog format records that as ``"equal_rank": true``
@@ -50,16 +52,10 @@ class PairContext:
     __slots__ = ("rs", "positive_system", "w0")
 
     def __init__(self, rs: RootSystem, positive_system: tuple[Weight, ...], w0: WeylSubgroup):
-        set_slot = object.__setattr__
-        set_slot(self, "rs", rs)
-        set_slot(self, "positive_system", normalize_positive_system(positive_system, rs))
-        set_slot(self, "w0", w0)
+        self._set(rs=rs, positive_system=normalize_positive_system(positive_system, rs), w0=w0)
         for w in w0:
             if w.rank != rs.rank:
                 raise ValueError("W0 element rank does not match the root system")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"PairContext is immutable; cannot set {name!r}")
 
     @property
     def w0_order(self) -> int:
@@ -127,7 +123,8 @@ def gram(kind: str, classes, ctx: PairContext) -> list[list[Fraction]]:
     ([W0] = |W|), x = P * chi with P the half denominator; the full
     denominator is D = P * conj(P), so this is the Weyl integral form
     (1/|W|) CT(D * chi * conj(chi')) of dim Hom. ``elliptic``: x = the
-    Euler class."""
+    Euler class. The classes are held to ``check_gram_cap`` first."""
+    check_gram_cap(len(classes), ctx.rs)
     _check_rank(ctx, *classes)
     if kind == "multiplicity":
         if not ctx.w0_is_full:

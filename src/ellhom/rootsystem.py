@@ -147,18 +147,28 @@ class WeylElement(namedtuple("WeylElement", "matrix length sign")):
         return _matvec(self.matrix, mu)
 
 
-class WeylSubgroup:
+class Frozen:
+    """Base of the immutable records: each field is a slot, written once
+    by the constructor through ``_set``; any later assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+
+class WeylSubgroup(Frozen):
     """A subgroup of W given by an explicit, closed element list.
-    Immutable; membership is by matrix, against a set built on first use."""
+    Immutable; membership is by matrix."""
 
     __slots__ = ("elements", "_matrices")
 
     def __init__(self, elements: tuple[WeylElement, ...]):
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "_matrices", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"WeylSubgroup is immutable; cannot set {name!r}")
+        self._set(elements=elements, _matrices=frozenset(u.matrix for u in elements))
 
     @property
     def order(self) -> int:
@@ -168,8 +178,6 @@ class WeylSubgroup:
         return iter(self.elements)
 
     def __contains__(self, w: WeylElement) -> bool:
-        if self._matrices is None:
-            object.__setattr__(self, "_matrices", frozenset(u.matrix for u in self.elements))
         return w.matrix in self._matrices
 
 
@@ -413,6 +421,18 @@ def check_weyl_cap(rs: RootSystem) -> int:
             f"group too large: |W({rs.series}{rs.rank})| = {rs.weyl_order} exceeds cap {WEYL_CAP}"
         )
     return rs.weyl_order
+
+
+def check_gram_cap(n: int, rs: RootSystem) -> None:
+    """CapExceededError when n * max(n, |W|) exceeds WEYL_CAP (read at call
+    time), for n classes or weights over rs: their n^2 pairings, each over
+    classes of about |W| terms. Called before W is enumerated and before
+    the first class is built."""
+    work = n * max(n, rs.weyl_order)
+    if work > WEYL_CAP:
+        raise CapExceededError(
+            f"too many classes: {n} * max({n}, |W({rs.series}{rs.rank})|) = {work} exceeds cap {WEYL_CAP}"
+        )
 
 
 def enumerate_weyl_group(rs: RootSystem) -> WeylSubgroup:

@@ -38,7 +38,7 @@ from .pairings import (
     ext_abelian_graded,
     gram,
 )
-from .rootsystem import CapExceededError, dominant_box, parse_type
+from .rootsystem import CapExceededError, check_gram_cap, dominant_box, parse_type
 from .zoo import GeometricDatum, dual_standard_class, sl2_catalog, standard_module_class
 
 DEFAULT_BOUND = 3
@@ -71,9 +71,14 @@ def _check_squared_weyl_cap(rs, token: str):
         raise CapExceededError(f"suite too large: |W({token})|^2 = {work} exceeds cap {rootsystem.WEYL_CAP}")
 
 
-def _basis_bound(cfg, rs) -> int:
-    """A basis's coordinate bound: cfg's in rank <= 2, at most 1 above."""
-    return cfg["bound"] if rs.rank <= 2 else min(cfg["bound"], 1)
+def _basis(cfg, rs, token) -> tuple[int, list]:
+    """A basis's coordinate bound, cfg's in rank <= 2 and at most 1 above,
+    and its dominant weights; |W|^2 and, for n weights, n * max(n, |W|)
+    are held to the Weyl cap before the weights are listed."""
+    _check_squared_weyl_cap(rs, token)
+    bound = cfg["bound"] if rs.rank <= 2 else min(cfg["bound"], 1)
+    check_gram_cap((bound + 1) ** rs.rank, rs)
+    return bound, dominant_box(rs.rank, bound)
 
 
 def suite_schur(cfg) -> list[dict]:
@@ -81,7 +86,7 @@ def suite_schur(cfg) -> list[dict]:
     delta on compact irreducibles: one ``gram`` matrix each, over the Weyl
     characters and the Euler classes of their Kostant homologies, with
     coordinates up to the bound in rank <= 2 and up to min(bound, 1) above
-    that, and |W|^2 held to the Weyl cap before any character is computed.
+    that, and the caps of ``_basis`` checked before W is enumerated.
     In a compact context the Euler-Poincare pairing is dim Hom_G, so the
     multiplicity case is the homological side of the identity. The
     pairing is bilinear, so an integral elliptic Gram matrix certifies an
@@ -90,10 +95,8 @@ def suite_schur(cfg) -> list[dict]:
     cases = []
     for token in cfg["types"] or RANK_LE_3:
         rs = parse_type(token)
-        _check_squared_weyl_cap(rs, token)
+        bound, lams = _basis(cfg, rs, token)
         ctx = compact_context(rs)
-        bound = _basis_bound(cfg, rs)
-        lams = dominant_box(rs.rank, bound)
         grams = {
             "multiplicity": gram("multiplicity", [weyl_character(lam, rs) for lam in lams], ctx),
             "elliptic": gram("elliptic", [euler_class(kostant_homology(lam, rs)) for lam in lams], ctx),
@@ -182,12 +185,12 @@ def suite_antisym(cfg) -> list[dict]:
         checks = 0
         for lam in fam:
             base = koszul_n_homology(lam, rs.positive_roots, rs)
-            xi = euler_class(base)
+            xi, per_degree = euler_class(base), base.classes
             for w in group:
                 nw = tuple(sorted(w.act(a) for a in rs.positive_roots))
                 direct = koszul_n_homology(lam, nw, rs)
                 checks += 1
-                moved = tuple(weyl_act(w, b) for b in base.classes)
+                moved = tuple(weyl_act(w, b) for b in per_degree)
                 if euler_class(direct) != antisym_transport(xi, w, ctx) or direct.classes != moved:
                     bad_ii += 1
         cases.append(
@@ -240,14 +243,12 @@ def suite_standard(cfg) -> list[dict]:
 
 def suite_oracles(cfg) -> list[dict]:
     """Freudenthal and Weyl characters agree and sum to the Weyl dimension,
-    on the basis of ``schur`` and under its Weyl cap."""
+    on the basis of ``schur`` and under its caps."""
     cases = []
     for token in cfg["types"] or CHARACTER_TYPES:
         rs = parse_type(token)
-        _check_squared_weyl_cap(rs, token)
-        bound = _basis_bound(cfg, rs)
+        bound, lams = _basis(cfg, rs, token)
         bad = 0
-        lams = dominant_box(rs.rank, bound)
         for lam in lams:
             chi_f = freudenthal_character(lam, rs)
             chi_w = weyl_character(lam, rs)

@@ -12,7 +12,15 @@ import json
 from .charring import CharElement, json_field
 from .koszul import GradedHomology, euler_class, kostant_homology
 from .pairings import PairContext, compact_context, split_rank_one_context
-from .rootsystem import RootSystem, Weight, build_root_system, dominant_box, rho_shift
+from .rootsystem import (
+    Frozen,
+    RootSystem,
+    Weight,
+    build_root_system,
+    check_gram_cap,
+    dominant_box,
+    rho_shift,
+)
 
 PROVENANCES = (
     "compact_irreducible",
@@ -22,7 +30,7 @@ PROVENANCES = (
 )
 
 
-class GeometricDatum:
+class GeometricDatum(Frozen):
     """Orbit data for a standard-module class: whether the orbit is closed,
     the lattice weight of the fiber module, and s = half dim(K/T).
     Immutable."""
@@ -30,21 +38,14 @@ class GeometricDatum:
     __slots__ = ("closed", "v_weight", "s", "ctx")
 
     def __init__(self, closed: bool, v_weight: Weight, s: int, ctx: PairContext):
-        set_slot = object.__setattr__
-        set_slot(self, "closed", closed)
-        set_slot(self, "v_weight", v_weight)
-        set_slot(self, "s", s)
-        set_slot(self, "ctx", ctx)
+        self._set(closed=closed, v_weight=v_weight, s=s, ctx=ctx)
         if len(v_weight) != ctx.rs.rank:
             raise ValueError("fiber weight rank does not match the context")
         if s < 0:
             raise ValueError("s must be nonnegative")
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"GeometricDatum is immutable; cannot set {name!r}")
 
-
-class VirtualModule:
+class VirtualModule(Frozen):
     """A labeled Grothendieck-group class carrying its Euler class and,
     when available, the full graded homology behind it. Immutable."""
 
@@ -52,19 +53,11 @@ class VirtualModule:
 
     def __init__(self, label: str, ctx: PairContext, euler: CharElement,
                  homology: GradedHomology | None = None, provenance: str = "external"):
-        set_slot = object.__setattr__
-        set_slot(self, "label", label)
-        set_slot(self, "ctx", ctx)
-        set_slot(self, "euler", euler)
-        set_slot(self, "homology", homology)
-        set_slot(self, "provenance", provenance)
+        self._set(label=label, ctx=ctx, euler=euler, homology=homology, provenance=provenance)
         if provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {provenance!r}")
         if homology is not None and euler_class(homology) != euler:
             raise ValueError("stored homology does not alternate to the Euler class")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"VirtualModule is immutable; cannot set {name!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -130,10 +123,12 @@ def dual_standard_class(datum: GeometricDatum) -> CharElement:
 def sl2_presets(weight_bound: int = 3) -> list[VirtualModule]:
     """Rank-one split presets: W0 trivial, closed orbits give the classes
     -e^mu for mu in [-bound, bound] (discrete-series standard modules), the
-    open orbit gives the zero class (principal series)."""
+    open orbit gives the zero class (principal series). The 2 * bound + 2
+    classes are held to ``check_gram_cap`` before the first is built."""
     if weight_bound < 0:
         raise ValueError(f"bound must be nonnegative, got {weight_bound}")
     rs = build_root_system("A", 1)
+    check_gram_cap(2 * weight_bound + 2, rs)
     ctx = split_rank_one_context(rs)
     modules = []
     for mu in range(-weight_bound, weight_bound + 1):
@@ -157,17 +152,13 @@ def sl2_presets(weight_bound: int = 3) -> list[VirtualModule]:
     return modules
 
 
-class Catalog:
+class Catalog(Frozen):
     """An immutable zoo: one context plus its module classes."""
 
     __slots__ = ("context", "modules")
 
     def __init__(self, context: PairContext, modules: tuple[VirtualModule, ...]):
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "modules", modules)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Catalog is immutable; cannot set {name!r}")
+        self._set(context=context, modules=modules)
 
     def to_dict(self) -> dict:
         return {
@@ -207,9 +198,12 @@ class Catalog:
 
 
 def compact_catalog(rs: RootSystem, bound: int) -> Catalog:
-    """All compact irreducibles with coordinates up to the bound."""
+    """All compact irreducibles with coordinates up to the bound; the
+    (bound+1)^rank classes are held to ``check_gram_cap`` before W is
+    enumerated."""
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
+    check_gram_cap((bound + 1) ** rs.rank, rs)
     ctx = compact_context(rs)
     lams = dominant_box(rs.rank, bound)
     return Catalog(

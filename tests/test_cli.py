@@ -16,6 +16,7 @@ from conftest import subprocess_env
 from ellhom import (
     CharElement,
     InternalConsistencyError,
+    compact_catalog,
     compact_context,
     divide_exact,
     gram,
@@ -27,12 +28,13 @@ from ellhom import (
 from ellhom.cli import build_parser, main
 
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "ellhom.cli", *argv],
         env=subprocess_env(),
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     return proc
 
@@ -394,6 +396,87 @@ def test_rank_4_characters_and_multiplicity_gram_pass_quickly(capsys):
         assert main(argv) == 0
         assert time.monotonic() - started < 30
         capsys.readouterr()
+
+
+GRAM_CAP_RUNS = [
+    # argv, n * max(n, |W|) of its first gram-capped site, exit code when refused
+    (["verify", "--suite", "schur", "--type", "A2"], 16 * 16, 1),
+    (["verify", "--suite", "oracles", "--type", "A2"], 16 * 16, 1),
+    (["verify", "--suite", "standard"], 8 * 8, 1),
+    (["pairing", "--preset", "sl2", "--kind", "elliptic"], 8 * 8, 2),
+    (["pairing", "--preset", "compact", "--type", "A2", "--kind", "elliptic"], 16 * 16, 2),
+]
+
+
+@pytest.mark.parametrize("argv, work, refused", GRAM_CAP_RUNS)
+def test_gram_cap_refuses_before_w_or_any_class_is_built(argv, work, refused, monkeypatch, capsys):
+    # n classes or weights cost n * max(n, |W|), read against the cap at call
+    # time; one under it, the run is refused before W is enumerated and
+    # before any character, homology or standard class is built
+    from ellhom import zoo
+
+    built = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: built.append(name) or real(*a))
+
+    for module, name in ((verify, "weyl_character"), (verify, "freudenthal_character"),
+                         (verify, "kostant_homology"), (zoo, "kostant_homology"),
+                         (zoo, "standard_module_class"), (rootsystem.RootSystem, "weyl_group")):
+        counting(module, name)
+    monkeypatch.setattr(rootsystem, "WEYL_CAP", work)
+    assert main(argv) == 0
+    assert built
+    capsys.readouterr()
+    built.clear()
+    monkeypatch.setattr(rootsystem, "WEYL_CAP", work - 1)
+    started = time.monotonic()
+    assert main(argv) == refused
+    assert time.monotonic() - started < 1
+    assert built == []
+    captured = capsys.readouterr()
+    message = captured.err if refused == 2 else json.loads(captured.out)["reports"][0]["cases"][0]["actual"]
+    assert f"= {work} exceeds cap {work - 1}" in message
+
+
+@pytest.mark.parametrize("kind", ["elliptic", "multiplicity"])
+def test_gram_cap_refuses_a_catalog_file_before_any_pairing(kind, tmp_path, monkeypatch, capsys):
+    # 4 classes over W(A2): 4 * max(4, 6) = 24
+    from ellhom import pairings
+
+    path = tmp_path / "a2.json"
+    assert main(["pairing", "--preset", "compact", "--type", "A2", "--bound", "1",
+                 "--kind", kind, "--save-catalog", str(path)]) == 0
+    capsys.readouterr()
+    pairs = []
+    real = pairings.torus_pairing
+    monkeypatch.setattr(pairings, "torus_pairing", lambda *a: pairs.append(a) or real(*a))
+    monkeypatch.setattr(pairings, "half_denominator", None)  # the P of a multiplicity P * chi would raise
+    monkeypatch.setattr(rootsystem, "WEYL_CAP", 23)
+    assert main(["pairing", "--catalog", str(path), "--kind", kind]) == 2
+    assert "= 24 exceeds cap 23" in capsys.readouterr().err
+    assert pairs == []
+
+
+def test_unbounded_bounds_are_refused_in_seconds():
+    proc = run_cli("pairing", "--preset", "sl2", "--bound", "100000", "--kind", "elliptic", timeout=10)
+    assert proc.returncode == 2 and "exceeds cap" in proc.stderr
+    proc = run_cli("verify", "--suite", "schur,standard,oracles", "--bound", "100000", timeout=10)
+    assert proc.returncode == 1
+    cases = [c for r in json.loads(proc.stdout)["reports"] for c in r["cases"]]
+    assert [c["actual"].startswith("skipped: cap") for c in cases] == [True] * 3
+
+
+def test_gram_cap_admits_the_documented_runs(capsys):
+    # 27 * 48, 16 * 384 and the benchmark's 16 * 120 are under the cap
+    for argv in (
+        ["pairing", "--preset", "compact", "--type", "B3", "--bound", "2", "--kind", "multiplicity"],
+        ["pairing", "--preset", "compact", "--type", "B4", "--bound", "1", "--kind", "elliptic"],
+    ):
+        assert main(argv) == 0
+        capsys.readouterr()
+    assert len(compact_catalog(parse_type("A4"), 1).modules) == 16
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

@@ -354,26 +354,6 @@ def test_cached_euler_class_equals_a_fresh_fold(xs, ys, c):
     for result in (g + h, g.scale(c), (g + h).scale(c)):
         first = euler_class(result)
         assert first == ref_euler(result.classes)  # a fresh fold, per degree
-        assert euler_class(result) is first
-
-
-def test_repeated_pairings_fold_each_homology_once(monkeypatch):
-    folds = []
-    original = ellhom.koszul.CharElement._of
-
-    def counting(rank, terms):
-        folds.append(rank)
-        return original(rank, terms)
-
-    homs = [kostant_homology(lam, A2) for lam in ((0, 0), (1, 0), (0, 1), (1, 1))]
-    # the fold is the one CharElement a pairing builds
-    monkeypatch.setattr(ellhom.koszul.CharElement, "_of", counting)
-    values = [[homological_pairing(a, b, A2_CTX) for b in homs] for a in homs]
-    assert len(folds) == len(homs)
-    for _ in range(3):
-        assert [[homological_pairing(a, b, A2_CTX) for b in homs] for a in homs] == values
-    assert len(folds) == len(homs)
-    assert values == [[Fraction(int(a is b)) for b in homs] for a in homs]
 
 
 @pytest.mark.parametrize("numbers", [[5, 7], [0, 0], [1, 2], [0, 2]])

@@ -20,6 +20,7 @@ from ellhom import (
     euler_class,
     half_denominator,
     homological_pairing,
+    kostant_homology,
     koszul_n_homology,
     parse_type,
     sl2_catalog,
@@ -27,6 +28,7 @@ from ellhom import (
     standard_module_class,
     weyl_character,
 )
+from ellhom.rootsystem import Frozen
 
 
 def test_compact_irreducible_examples(a1, a2):
@@ -182,11 +184,14 @@ def test_records_refuse_assignment(a1):
         (GeometricDatum(closed=True, v_weight=(1,), s=0, ctx=ctx), "s"),
         (compact_irreducible((1,), ctx), "label"),
         (compact_catalog(a1, 1), "modules"),
+        (kostant_homology((1,), a1), "terms"),
     ]
     for record, name in records:
         value = getattr(record, name)
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError) as refusal:
             setattr(record, name, value)
+        if isinstance(record, Frozen):  # WeylElement, a namedtuple, keeps Python's message
+            assert str(refusal.value) == f"{type(record).__name__} is immutable; cannot set {name!r}"
         assert getattr(record, name) is value
 
 
