@@ -24,9 +24,8 @@ import sys
 
 from . import verify
 from .characters import InternalConsistencyError, freudenthal_character, weyl_character
-from .charring import divide_exact, half_denominator
 from .koszul import euler_class, koszul_n_homology
-from .pairings import gram
+from .pairings import check_antisym_i, gram
 from .rootsystem import CapExceededError, parse_type
 from .zoo import Catalog, compact_catalog, sl2_catalog
 
@@ -139,13 +138,15 @@ def cmd_pairing(args) -> int:
         "rank": ctx.rs.rank,
         "w0_order": ctx.w0_order,
     }
-    if args.kind == "elliptic":
-        classes = [m.euler for m in cat.modules]
-    else:
-        # a compact class is half_denominator * chi; divide once per module
-        half = half_denominator(ctx.rs)
-        classes = [divide_exact(m.euler, half, ctx.rs) for m in cat.modules]
-    matrix = [[str(v) for v in row] for row in gram(args.kind, classes, ctx)]
+    if args.kind == "multiplicity":
+        # x = P * chi with chi W-invariant (P the half denominator) exactly
+        # when s_i(x) = -e^{-alpha_i} x for every simple reflection; the
+        # multiplicity matrix of such classes is their elliptic Gram matrix
+        reflections = [ctx.rs.simple_reflection(i) for i in range(ctx.rs.rank)]
+        for m in cat.modules:
+            if not all(check_antisym_i(m.euler, s, ctx) for s in reflections):
+                raise UsageError(f"class {m.label} is not P * chi with chi W-invariant")
+    matrix = [[str(v) for v in row] for row in gram("elliptic", [m.euler for m in cat.modules], ctx)]
     labels = [m.label for m in cat.modules]
     rows = [
         {"kind": args.kind, "left": a, "right": b, "value": v, "context": ctx_summary}

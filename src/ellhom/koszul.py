@@ -19,22 +19,15 @@ dict comprehension; the per-degree CharElements are derived on demand.
 The complex is assembled one torus weight mu at a time: every degree of
 C_.(mu) is built together, so only one small subcomplex is alive at once.
 The rows of the d_p block of mu are the basis vectors of C_p(mu), and its
-columns are their boundary coordinates in C_{p-1}(mu). Each d_p block
-with C_{p-1}(mu) != 0 gets one shape-only pick, linalg.triangular_pick:
-rows R_p and columns P_p, one column per row, on which the unreduced d_p
-is a triangular submatrix with nonzero diagonal. So d_p is injective on
-span(R_p), and im d_p, read on the coordinates P_p, is all of them. Before
-the rank of the d_p block is taken, two deletions rest on that one fact:
-
-- (a) delete the rows P_{p+1}. im d_{p+1} reaches every coordinate in
-  P_{p+1}, so C_p = im d_{p+1} + span(the other rows), and d_p d_{p+1} = 0
-  keeps the rank.
-- (b) delete the columns R_{p-1}. d_{p-1} is injective on span(R_{p-1}),
-  so dropping those coordinates is injective on ker d_{p-1}, which
-  contains im d_p, and keeps the rank.
-
-Both are exact with no arithmetic and no certificate, and sparse_int_rank
-stays the only rank routine.
+columns are their boundary coordinates in C_{p-1}(mu). The degrees of mu are
+taken in increasing order, and one rule deletes columns before each rank:
+the d_p block drops the columns R_{p-1}, the pivot rows
+(linalg.sparse_int_pivots) of the reduced d_{p-1} block. Those rows are
+independent, so d_{p-1} is injective on span(R_{p-1}); dropping their
+coordinates is then injective on ker d_{p-1}, which contains im d_p, and
+keeps the rank exactly. Each reduced block has dim ker d_{p-1} =
+rank d_p + dim H_{p-1} columns. The top degree of mu, whose pivots no
+block reads, takes only its rank (sparse_int_rank).
 
 The operator matrices and bracket constants are rational; hwmodule holds
 each as integer numerators over one denominator. Each call takes one common
@@ -59,7 +52,7 @@ from math import lcm
 from .characters import require_dominant, weyl_dimension
 from .charring import CharElement, json_field, json_ints, merge_terms
 from .hwmodule import module_for, structure_constants
-from .linalg import sparse_int_rank, triangular_pick
+from .linalg import sparse_int_pivots, sparse_int_rank
 from .rootsystem import CapExceededError, Frozen, RootSystem, Weight
 
 # bound on dim V, the dimension of the module
@@ -313,27 +306,22 @@ def koszul_n_homology(lam: Weight, positive_system, rs: RootSystem) -> GradedHom
                 for base, c in br_terms:
                     col[base + v] = c
                 block.append(col)
-        # the pick of each d_p block, as (label in C_p, label in C_{p-1}) pairs
-        picks = {
-            p: [(labels[i], c) for i, c in triangular_pick(block)]
-            for p, (labels, block) in chain.items()
-            if p - 1 in chain
-        }
         ranks: dict[int, int] = {}
-        for p in picks:
-            labels, block = chain[p]
-            reached = {c for _, c in picks.get(p + 1, ())}  # (a): the rows P_{p+1}
-            dropped = {r for r, _ in picks.get(p - 1, ())}  # (b): the columns R_{p-1}
-            rows = []
-            for label, col in zip(labels, block):
-                if label in reached:
-                    continue
-                if not dropped.isdisjoint(col):
-                    col = {c: x for c, x in col.items() if c not in dropped}
-                if col:
-                    rows.append(col)
+        dropped: set[int] = set()  # R_{p-1}: the pivot rows of the reduced d_{p-1}
+        for p, (labels, block) in chain.items():
+            if p - 1 not in chain:
+                dropped = set()  # d_p is zero
+                continue
             # the rank of the transpose equals the rank; columns become rows
-            if rows:
+            rows = [
+                col if dropped.isdisjoint(col) else {c: x for c, x in col.items() if c not in dropped}
+                for col in block
+            ]
+            if p + 1 in chain:
+                pivots = sparse_int_pivots(rows)
+                ranks[p] = len(pivots)
+                dropped = {labels[i] for i in pivots}
+            else:
                 ranks[p] = sparse_int_rank(rows)
         for p, (labels, _) in chain.items():
             h = len(labels) - ranks.get(p, 0) - ranks.get(p + 1, 0)

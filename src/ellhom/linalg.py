@@ -2,8 +2,7 @@
 
 Everything here is fraction-free: a rational result is integer numerators
 over one denominator. No floating point anywhere, so ranks and echelon
-forms are exact by construction. triangular_pick reads no entry at all,
-only where the nonzero entries are.
+forms are exact by construction.
 """
 
 from __future__ import annotations
@@ -11,8 +10,10 @@ from __future__ import annotations
 from math import gcd
 
 
-def sparse_int_rank(rows: list[dict[int, int]]) -> int:
-    """Rank of an integer matrix given as sparse rows {column: entry}.
+def sparse_int_pivots(rows: list[dict[int, int]]) -> list[int]:
+    """The pivot rows of an integer matrix given as sparse rows
+    {column: entry}: their indices in ``rows``, in pivot order. The input
+    rows at these indices are independent, and their count is the rank.
 
     Fraction-free elimination on a copy; the caller's rows are not changed.
     Each row is first divided by its content. The pivot row is a shortest
@@ -22,7 +23,10 @@ def sparse_int_rank(rows: list[dict[int, int]]) -> int:
     A row r with entry rv in the pivot column becomes a*r - b*pivot_row
     with a = pv/g, b = rv/g and g = gcd(pv, rv), and is then divided by its
     content. These operations scale rows by nonzero integers and add
-    multiples of other rows, so the rank is preserved.
+    multiples of other rows, so the rank is preserved. Each remaining row
+    stays a nonzero multiple of its input row plus a combination of the
+    input rows pivoted before it, so a row that ends at zero lies in the
+    span of those input rows: the input pivot rows span the row space.
     """
     work: dict[int, dict[int, int]] = {}
     # rows_with[c]: ids of the remaining rows with a nonzero entry in column c
@@ -34,7 +38,7 @@ def sparse_int_rank(rows: list[dict[int, int]]) -> int:
         work[i] = {c: v // g for c, v in r.items()} if g > 1 else dict(r)
         for c in r:
             rows_with.setdefault(c, set()).add(i)
-    rank = 0
+    pivots = []
     while work:
         i = min(work, key=lambda j: len(work[j]))
         pivot_row = work.pop(i)
@@ -46,7 +50,7 @@ def sparse_int_rank(rows: list[dict[int, int]]) -> int:
             # a positive pivot makes a = 1 whenever |pv| divides rv
             pv = -pv
             pivot_row = {c: -v for c, v in pivot_row.items()}
-        rank += 1
+        pivots.append(i)
         for j in rows_with.pop(col):
             row = work[j]
             rv = row.pop(col)
@@ -71,30 +75,13 @@ def sparse_int_rank(rows: list[dict[int, int]]) -> int:
             if g > 1:
                 for c in row:
                     row[c] //= g
-    return rank
+    return pivots
 
 
-def triangular_pick(rows: list[dict[int, int]]) -> list[tuple[int, int]]:
-    """Shape-only pick on sparse rows {column: entry}: visit the rows
-    shortest first (ties in row order) and keep a row when it has a column
-    that no kept row has; the first such column is its pick. Returns the
-    (row index, picked column) pairs in pick order.
-
-    A kept row has no entry in the picked column of any row kept after it,
-    so the kept rows restricted to the picked columns form a triangular
-    matrix with nonzero diagonal: the kept rows are independent, and so are
-    their restrictions to the picked columns. Only the shape is read.
-    """
-    covered: set[int] = set()
-    picks = []
-    for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
-        row = rows[i]
-        for c in row:
-            if c not in covered:
-                picks.append((i, c))
-                covered.update(row)
-                break
-    return picks
+def sparse_int_rank(rows: list[dict[int, int]]) -> int:
+    """Rank of an integer matrix given as sparse rows {column: entry}: the
+    number of its pivot rows."""
+    return len(sparse_int_pivots(rows))
 
 
 def int_rref(matrix) -> tuple[list[list[int]], list[int], int]:

@@ -20,6 +20,7 @@ from ellhom import (
     compact_context,
     divide_exact,
     gram,
+    half_denominator,
     parse_type,
     rootsystem,
     verify,
@@ -211,7 +212,8 @@ def test_pairing_catalog_round_trip(tmp_path, capsys):
             assert r["value"] == ("1" if r["left"] == r["right"] else "0")
 
 
-def test_pairing_multiplicity_divides_once_per_module(monkeypatch, capsys):
+def test_pairing_multiplicity_neither_divides_nor_multiplies(monkeypatch, capsys):
+    # each Euler class is checked to be P * chi in place and paired as it is
     calls = []
     products = []
     multiply = CharElement.__mul__
@@ -221,18 +223,47 @@ def test_pairing_multiplicity_divides_once_per_module(monkeypatch, capsys):
         return divide_exact(p, q, rs)
 
     def counting_mul(a, b):
-        # the products pairings makes are the P * chi of the multiplicity matrix
-        if sys._getframe(1).f_globals["__name__"] == "ellhom.pairings":
-            products.append(b)
+        products.append(b)
         return multiply(a, b)
 
-    monkeypatch.setattr("ellhom.cli.divide_exact", counting)
+    monkeypatch.setattr("ellhom.charring.divide_exact", counting)
+    monkeypatch.setattr("ellhom.characters.divide_exact", counting)
     monkeypatch.setattr(CharElement, "__mul__", counting_mul)
     assert main(["pairing", "--preset", "compact", "--type", "B2", "--bound", "2", "--kind", "multiplicity"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert len(calls) == 9 and len(out["pairings"]) == 81
-    assert len(products) == 9
+    assert len(out["pairings"]) == 81
+    assert calls == [] and products == []
     assert all(r["value"] == ("1" if r["left"] == r["right"] else "0") for r in out["pairings"])
+
+
+def _catalog_with_class(tmp_path, capsys, euler):
+    """A saved compact B2 catalog whose first class is replaced by euler."""
+    path = tmp_path / "b2.json"
+    assert main(["pairing", "--preset", "compact", "--type", "B2", "--bound", "1",
+                 "--kind", "elliptic", "--save-catalog", str(path)]) == 0
+    capsys.readouterr()
+    data = json.loads(path.read_text())
+    data["modules"][0]["euler"] = euler.to_dict()
+    data["modules"][0]["homology"] = None
+    path.write_text(json.dumps(data))
+    return path, data["modules"][0]["label"]
+
+
+@pytest.mark.parametrize("case", ["not P * chi", "chi not W-invariant"])
+def test_pairing_multiplicity_refuses_a_class_that_is_not_p_chi(case, tmp_path, capsys):
+    b2 = parse_type("B2")
+    half = half_denominator(b2)
+    if case == "not P * chi":
+        # P * chi plus one monomial is no multiple of P * chi' for any chi'
+        euler = half * weyl_character((1, 0), b2) + CharElement.monomial((1, 0))
+    else:
+        # P times a single monomial: divisible by P, but the quotient moves under W
+        euler = half * CharElement.monomial((1, 0))
+    path, label = _catalog_with_class(tmp_path, capsys, euler)
+    assert main(["pairing", "--catalog", str(path), "--kind", "elliptic"]) == 0
+    capsys.readouterr()
+    assert main(["pairing", "--catalog", str(path), "--kind", "multiplicity"]) == 2
+    assert f"class {label} is not P * chi with chi W-invariant" in capsys.readouterr().err
 
 
 # sha256 of the `ellhom pairing` output for each input, --emit json then

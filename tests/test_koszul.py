@@ -88,7 +88,8 @@ def test_three_way_euler_identity(token, lam):
 @pytest.mark.parametrize(
     "token,lam",
     [("A1", (1,)), ("A2", (1, 0)), ("A2", (1, 1)), ("B2", (0, 1)), ("G2", (1, 0)),
-     ("G2", (1, 2))],
+     ("G2", (1, 2)), ("A3", (1, 1, 1)), ("D3", (1, 1, 1)), ("B3", (0, 0, 1)),
+     ("C3", (1, 0, 0))],
 )
 def test_per_degree_closed_form_matches_oracle(token, lam):
     rs = parse_type(token)
@@ -97,6 +98,29 @@ def test_per_degree_closed_form_matches_oracle(token, lam):
     assert len(gh.classes) == len(kh.classes)
     for a, b in zip(gh.classes, kh.classes):
         assert a == b
+
+
+def test_eliminated_columns_are_bounded_by_ranks_and_homology(monkeypatch, g2):
+    # the reduced d_p block keeps dim ker d_{p-1} = rank d_p + dim H_{p-1}
+    # coordinates at most, so over all blocks the distinct columns handed to
+    # elimination are at most the ranks plus the total homology
+    columns, ranks = [], []
+
+    def recording(real, count):
+        def wrapped(rows):
+            result = real(rows)
+            columns.append(len(set().union(*rows)))
+            ranks.append(count(result))
+            return result
+
+        return wrapped
+
+    monkeypatch.setattr(ellhom.koszul, "sparse_int_pivots", recording(ellhom.koszul.sparse_int_pivots, len))
+    monkeypatch.setattr(ellhom.koszul, "sparse_int_rank", recording(ellhom.koszul.sparse_int_rank, int))
+    gh = koszul_n_homology((1, 1), g2.positive_roots, g2)
+    assert gh == kostant_homology((1, 1), g2)
+    assert ranks
+    assert sum(columns) <= sum(ranks) + sum(gh.terms.values())
 
 
 def test_nonstandard_positive_system_direct(a2):
@@ -170,6 +194,26 @@ def test_oracle_fails_on_a_wrong_rank(monkeypatch, g2):
     except AssertionError:
         return
     assert fired
+    assert gh != kostant_homology((1, 0), g2)
+
+
+def test_oracle_fails_on_a_wrong_pivot(monkeypatch, g2):
+    # the first row the elimination left out is reported in place of the
+    # last pivot, so the columns the next degree drops may be dependent
+    real = ellhom.koszul.sparse_int_pivots
+    swapped = []
+
+    def swap_last(rows):
+        pivots = real(rows)
+        left_out = [i for i in range(len(rows)) if i not in pivots][:1]
+        if pivots and left_out:
+            swapped.append(True)
+            return pivots[:-1] + left_out
+        return pivots
+
+    monkeypatch.setattr(ellhom.koszul, "sparse_int_pivots", swap_last)
+    gh = koszul_n_homology((1, 0), g2.positive_roots, g2)
+    assert swapped
     assert gh != kostant_homology((1, 0), g2)
 
 

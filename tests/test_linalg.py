@@ -1,6 +1,6 @@
-"""Exact sparse integer rank against an independent Fraction elimination,
-the fraction-free reduced echelon form against its defining properties, and
-the shape-only triangular pick against the rank.
+"""Exact sparse integer rank and its pivot rows against an independent
+Fraction elimination, and the fraction-free reduced echelon form against its
+defining properties.
 
 The reference below is textbook Gaussian elimination over Q on a dense
 copy, written here so it shares no code with ellhom.linalg.
@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from ellhom.linalg import int_rref, sparse_int_rank, triangular_pick
+from ellhom.linalg import int_rref, sparse_int_pivots, sparse_int_rank
 
 
 def reference_rank(rows, n_cols):
@@ -82,20 +82,16 @@ def test_sparse_int_rank_small_cases():
 
 @given(data=sparse_matrices())
 @settings(max_examples=300, deadline=None)
-def test_triangular_pick_keeps_independent_rows(data):
+def test_sparse_int_pivots_are_independent_rows_as_many_as_the_rank(data):
     rows, n_cols = data
-    picks = triangular_pick(rows)
-    kept = [rows[i] for i, _ in picks]
-    columns = [c for _, c in picks]
-    assert len({i for i, _ in picks}) == len(picks)
-    assert all(c in rows[i] for i, c in picks)
-    # the kept rows are independent, and stay so on the picked columns
-    assert sparse_int_rank(kept) == len(picks) == reference_rank(kept, n_cols)
-    on_picked = [{c: r[c] for c in columns if c in r} for r in kept]
-    assert sparse_int_rank(on_picked) == len(picks)
-    # a row left out has no column outside the kept rows
-    covered = set().union(*kept)
-    assert all(set(r) <= covered for r in rows)
+    before = [dict(r) for r in rows]
+    pivots = sparse_int_pivots(rows)
+    assert len(set(pivots)) == len(pivots)
+    # the input rows at the pivot indices alone are independent, and there
+    # are as many of them as the rank of all the rows
+    assert reference_rank([rows[i] for i in pivots], n_cols) == len(pivots)
+    assert len(pivots) == reference_rank(rows, n_cols)
+    assert rows == before
 
 
 @given(data=sparse_matrices())

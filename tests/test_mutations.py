@@ -28,19 +28,18 @@ def _rank_minus_one(mp):
     mp.setattr(pairings, "sparse_int_rank", faulty)
 
 
-def _pick_over_select(mp):
-    """The shape-only pick koszul reads also keeps the first row it left
-    out, paired with that row's first column, which breaks the triangular
-    shape both of koszul's deletions rely on."""
-    original = koszul.triangular_pick
+def _pivot_swapped_out(mp):
+    """The pivot rows koszul reads report the first row the elimination
+    left out in place of the last pivot, so the rows whose coordinates the
+    next degree drops need no longer be independent."""
+    original = koszul.sparse_int_pivots
 
     def faulty(rows):
-        picks = original(rows)
-        kept = {i for i, _ in picks}
-        extra = [(i, next(iter(r))) for i, r in enumerate(rows) if r and i not in kept][:1]
-        return picks + extra
+        pivots = original(rows)
+        left_out = [i for i in range(len(rows)) if i not in pivots][:1]
+        return pivots[:-1] + left_out if pivots and left_out else pivots
 
-    mp.setattr(koszul, "triangular_pick", faulty)
+    mp.setattr(koszul, "sparse_int_pivots", faulty)
 
 
 def _bracket_sign(mp):
@@ -148,7 +147,7 @@ def _torus_conjugation(mp):
 
 FAULTS = {
     "rank - 1": _rank_minus_one,
-    "pick over-selects": _pick_over_select,
+    "pivot swapped out": _pivot_swapped_out,
     "bracket sign": _bracket_sign,
     "rho_shift + 1": _rho_shift_off_by_one,
     "dual_class shift": _dual_shift,
