@@ -3,10 +3,17 @@
 Everything here is fraction-free: a rational result is integer numerators
 over one denominator. No floating point anywhere, so ranks and echelon
 forms are exact by construction.
+
+The chain-complex blocks go through sparse_int_pivots, a left-looking
+elimination that reads the rows one at a time and stops as soon as its
+pivots reach the column count: the rows it has not read then add nothing
+to the rank. int_rref is a dense Bareiss Gauss-Jordan elimination for the
+small matrices whose reduced form is wanted.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -15,66 +22,75 @@ def sparse_int_pivots(rows: list[dict[int, int]]) -> list[int]:
     {column: entry}: their indices in ``rows``, in pivot order. The input
     rows at these indices are independent, and their count is the rank.
 
-    Fraction-free elimination on a copy; the caller's rows are not changed.
-    Each row is first divided by its content. The pivot row is a shortest
-    remaining row; within it, the pivot column is the one that occurs in
-    the fewest remaining rows (a Markowitz-style choice that keeps fill-in
-    low), ties going to the smallest |entry| and then the smallest column.
-    A row r with entry rv in the pivot column becomes a*r - b*pivot_row
-    with a = pv/g, b = rv/g and g = gcd(pv, rv), and is then divided by its
-    content. These operations scale rows by nonzero integers and add
-    multiples of other rows, so the rank is preserved. Each remaining row
-    stays a nonzero multiple of its input row plus a combination of the
-    input rows pivoted before it, so a row that ends at zero lies in the
-    span of those input rows: the input pivot rows span the row space.
+    Left-looking fraction-free elimination; the caller's rows are not
+    changed. The nonempty rows are read shortest first, ties by index. Each
+    is copied, divided by its content and reduced against the pivots found
+    so far, in the order they were found: against a pivot with column col
+    and entry pv > 0, a row with entry rv there becomes a*row - b*pivot_row
+    with a = pv/g, b = rv/g and g = gcd(pv, rv). A pivot row was reduced
+    against every earlier pivot, so subtracting it adds no earlier pivot
+    column, and a heap of pivot positions takes the pivots in order. A row
+    that stays nonzero is divided by its content and becomes the next pivot:
+    its column is the one with the smallest |entry|, then the smallest
+    label, and its sign is made positive. The reduced pivot rows are in
+    echelon form, so they are independent, and each is a nonzero multiple of
+    its input row plus a combination of earlier pivot input rows: the input
+    pivot rows are independent too, and a row that ends at zero lies in
+    their span.
+
+    The elimination stops once the pivots number min(nonempty rows,
+    distinct columns). The rank is at most either, so the rows not yet
+    read lie in the span of the pivots, and the count is the rank. Only
+    the column labels of those rows are read, to count the columns.
     """
-    work: dict[int, dict[int, int]] = {}
-    # rows_with[c]: ids of the remaining rows with a nonzero entry in column c
-    rows_with: dict[int, set[int]] = {}
-    for i, r in enumerate(rows):
-        if not r:
-            continue
+    order = sorted([i for i, r in enumerate(rows) if r], key=lambda i: len(rows[i]))
+    bound = min(len(order), len(set().union(*map(dict.keys, rows))))
+    pivots: list[int] = []
+    # basis[k]: the column, the entry and the rest of the k-th pivot row
+    basis: list[tuple[int, int, dict[int, int]]] = []
+    position: dict[int, int] = {}  # pivot column -> k
+    for i in order:
+        if len(pivots) == bound:
+            break
+        r = rows[i]
         g = gcd(*r.values())
-        work[i] = {c: v // g for c, v in r.items()} if g > 1 else dict(r)
-        for c in r:
-            rows_with.setdefault(c, set()).add(i)
-    pivots = []
-    while work:
-        i = min(work, key=lambda j: len(work[j]))
-        pivot_row = work.pop(i)
-        for c in pivot_row:
-            rows_with[c].discard(i)
-        col = min(pivot_row, key=lambda c: (len(rows_with[c]), abs(pivot_row[c]), c))
-        pv = pivot_row.pop(col)
-        if pv < 0:
-            # a positive pivot makes a = 1 whenever |pv| divides rv
-            pv = -pv
-            pivot_row = {c: -v for c, v in pivot_row.items()}
-        pivots.append(i)
-        for j in rows_with.pop(col):
-            row = work[j]
-            rv = row.pop(col)
+        row = {c: v // g for c, v in r.items()} if g > 1 else dict(r)
+        heap = [position[c] for c in row if c in position]
+        heapify(heap)
+        while heap:
+            col, pv, rest = basis[heappop(heap)]
+            rv = row.pop(col, 0)
+            if not rv:
+                # cancelled by an earlier pivot, or a repeated heap entry
+                continue
             g = gcd(pv, rv)
             a, b = pv // g, rv // g
             if a != 1:
                 for c in row:
                     row[c] *= a
-            for c, pw in pivot_row.items():
-                nv = row.get(c, 0) - b * pw
+            for c, w in rest.items():
+                nv = row.get(c, 0) - b * w
                 if nv:
-                    if c not in row:
-                        rows_with[c].add(j)
+                    if c not in row and c in position:
+                        heappush(heap, position[c])
                     row[c] = nv
                 else:
                     del row[c]
-                    rows_with[c].discard(j)
-            if not row:
-                del work[j]
-                continue
-            g = gcd(*row.values())
-            if g > 1:
-                for c in row:
-                    row[c] //= g
+        if not row:
+            continue
+        g = gcd(*row.values())
+        if g > 1:
+            for c in row:
+                row[c] //= g
+        col = min(row, key=lambda c: (abs(row[c]), c))
+        pv = row.pop(col)
+        if pv < 0:
+            # a positive pivot makes a = 1 whenever |pv| divides rv
+            pv = -pv
+            row = {c: -v for c, v in row.items()}
+        position[col] = len(basis)
+        basis.append((col, pv, row))
+        pivots.append(i)
     return pivots
 
 

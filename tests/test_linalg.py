@@ -1,6 +1,7 @@
 """Exact sparse integer rank and its pivot rows against an independent
-Fraction elimination, and the fraction-free reduced echelon form against its
-defining properties.
+Fraction elimination, on random matrices and on every block the chain-complex
+oracle hands over; the early stop of the elimination; and the fraction-free
+reduced echelon form against its defining properties.
 
 The reference below is textbook Gaussian elimination over Q on a dense
 copy, written here so it shares no code with ellhom.linalg.
@@ -8,8 +9,11 @@ copy, written here so it shares no code with ellhom.linalg.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import ellhom.koszul
+from ellhom import kostant_homology, koszul_n_homology
 from ellhom.linalg import int_rref, sparse_int_pivots, sparse_int_rank
 
 
@@ -92,6 +96,70 @@ def test_sparse_int_pivots_are_independent_rows_as_many_as_the_rank(data):
     assert reference_rank([rows[i] for i in pivots], n_cols) == len(pivots)
     assert len(pivots) == reference_rank(rows, n_cols)
     assert rows == before
+
+
+class Unread(dict):
+    """A row whose entries must not be read: only its length and, through
+    dict.keys, its column labels are available."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a row past the early stop was read")
+
+    __iter__ = __getitem__ = get = items = values = copy = _refuse
+
+
+def test_elimination_stops_at_the_column_count():
+    # the four shortest rows have full column rank 4, so the longer rows
+    # are never read; their column labels still count towards the columns
+    read = [{0: 2, 1: 1}, {1: 3, 2: 1}, {2: 1, 3: 5}, {3: 2, 0: 1}]
+    assert reference_rank(read, 4) == 4
+    surplus = [Unread({0: 1, 1: 2, 2: 3}), Unread({0: 5, 1: -1, 2: 2, 3: 7}), Unread({1: 4, 3: -2, 2: 1})]
+    rows = [surplus[0], read[0], surplus[1], read[1], read[2], surplus[2], read[3]]
+    assert sorted(sparse_int_pivots(rows)) == [1, 3, 4, 6]
+    assert sparse_int_rank(rows) == 4
+    # a column that only a surplus row has keeps the elimination reading
+    with pytest.raises(AssertionError, match="past the early stop"):
+        sparse_int_pivots(rows + [Unread({0: 1, 4: 1, 5: 1})])
+
+
+def test_rank_deficient_tall_block_reads_every_row():
+    # three multiples of one row over two columns: the pivots never reach
+    # the column count, so every row is reduced and the rank is 1
+    rows = [{0: 1, 1: 2}, {0: 2, 1: 4}, {0: -3, 1: -6}]
+    assert sparse_int_pivots(rows) == [0]
+    assert sparse_int_rank(rows) == 1
+    with pytest.raises(AssertionError, match="past the early stop"):
+        sparse_int_pivots(rows[:2] + [Unread(rows[2])])
+
+
+@pytest.mark.parametrize("fixture, lam", [("a2", (2, 2)), ("b2", (1, 1))])
+def test_pivots_of_every_oracle_block_match_fraction_elimination(monkeypatch, request, fixture, lam):
+    rs = request.getfixturevalue(fixture)
+    blocks = []
+
+    def recording(real):
+        def wrapped(rows):
+            blocks.append([dict(r) for r in rows])
+            return real(rows)
+
+        return wrapped
+
+    monkeypatch.setattr(ellhom.koszul, "sparse_int_pivots", recording(ellhom.koszul.sparse_int_pivots))
+    monkeypatch.setattr(ellhom.koszul, "sparse_int_rank", recording(ellhom.koszul.sparse_int_rank))
+    gh = koszul_n_homology(lam, rs.positive_roots, rs)
+    stopped = 0
+    for rows in blocks:
+        # reference_rank reads the columns 0, 1, ...: renumber the labels
+        index = {c: k for k, c in enumerate(set().union(*rows))}
+        dense = [{index[c]: v for c, v in r.items()} for r in rows]
+        pivots = sparse_int_pivots(rows)
+        rank = reference_rank(dense, len(index))
+        assert len(set(pivots)) == len(pivots) == rank
+        assert reference_rank([dense[i] for i in pivots], len(index)) == rank
+        stopped += rank == len(index) < sum(1 for r in rows if r)
+    # these blocks are tall and of full column rank, unlike the random ones
+    assert stopped
+    assert gh == kostant_homology(lam, rs)
 
 
 @given(data=sparse_matrices())
