@@ -16,37 +16,40 @@ at t = -1, one signed fold over the map. Sums and integer multiples, the
 Grothendieck-group arithmetic of virtual modules, are one dict merge or one
 dict comprehension; the per-degree CharElements are derived on demand.
 
-The complex is assembled one torus weight mu at a time: every degree of
-C_.(mu) is built together, so only one small subcomplex is alive at once.
-The rows of the d_p block of mu are the basis vectors of C_p(mu), and its
-columns are their boundary coordinates in C_{p-1}(mu). The degrees of mu are
-taken in increasing order, and one rule deletes columns before each rank:
-the d_p block drops the columns R_{p-1}, the pivot rows
-(linalg.sparse_int_pivots) of the reduced d_{p-1} block. Those rows are
-independent, so d_{p-1} is injective on span(R_{p-1}); dropping their
-coordinates is then injective on ker d_{p-1}, which contains im d_p, and
-keeps the rank exactly. Each reduced block has dim ker d_{p-1} =
-rank d_p + dim H_{p-1} columns. The top degree of mu, whose pivots no
-block reads, takes only its rank (sparse_int_rank).
+The complex is assembled and reduced one torus weight mu at a time and,
+within mu, one degree at a time in increasing order; dim C_p(mu) is
+recorded for every degree first. The rows of the d_p block are the basis
+vectors of C_p(mu), its columns their boundary coordinates in C_{p-1}(mu);
+a block is built only when C_{p-1}(mu) != 0, so the lowest degree of mu
+builds no rows. One rule deletes columns before each rank: the d_p block
+drops R_{p-1}, the pivot rows (linalg.sparse_int_pivots) of the reduced
+d_{p-1} block, from each new row in place. Those rows are independent, so
+d_{p-1} is injective on span(R_{p-1}); dropping their coordinates is then
+injective on ker d_{p-1}, which contains im d_p, and keeps the rank
+exactly. Each reduced block has dim ker d_{p-1} = rank d_p + dim H_{p-1}
+columns. The top degree of mu, whose pivots no block reads, takes only its
+rank (sparse_int_rank).
 
 The operator matrices and bracket constants are rational; hwmodule holds
 each as integer numerators over one denominator. Each call takes one common
 denominator D (the lcm of those denominators) and assembles D*d, which is
 integral; a nonzero scalar multiple of a map has the same rank in every
-block, so the homology is unchanged and every entry is an int. Everything
-that depends only on a wedge subset (its weight, the subsets one degree
-down that its terms land on, and the signs) is computed once per subset,
-not once per basis vector.
+block, so the homology is unchanged and every entry is an int.
 
-A basis vector of Lambda^p(n) tensor V is a wedge subset S of degree p and a
-basis number v of the module's one numbered basis; it is labelled
-index(S) * dim V + v, so the sparse operators of hwmodule are used as they
-are, with no per-weight offsets.
+A wedge subset S is its bitmask over the positive roots, of degree its
+popcount, and the basis vector (S, v) of Lambda^p(n) tensor V, v a basis
+number of the module, is labelled S * dim V + v: there is no index table,
+and hwmodule's sparse operators are used as they are. Everything that
+depends only on S is computed once per subset: its weight (that of S
+without its lowest bit, plus that root) and its terms. The x_a term lands
+on S ^ 1 << a, its sign the parity of the members of S below a; the
+bracket term of (a, b) lands on rest | 1 << m, rest being S without a and
+b and x_m = [x_a, x_b], its sign set by the two positions and the members
+of rest below m.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import lcm
 
 from .characters import require_dominant, weyl_dimension
@@ -240,91 +243,78 @@ def koszul_n_homology(lam: Weight, positive_system, rs: RootSystem) -> GradedHom
             int_op[v] = (tuple(image), vals, tuple(-x for x in vals))
         int_ops.append(int_op)
 
-    # everything that depends only on a wedge subset, for every degree at
-    # once: (degree, first label, x_a v terms, bracket terms, weight); a
-    # basis vector (S, v) of degree p is the integer index(S) * dim + v
-    tables = []
-    index_in_degree: dict[tuple[int, ...], int] = {}
-    for p in range(n_roots + 1):
-        for i, subset in enumerate(combinations(range(n_roots), p)):
-            index_in_degree[subset] = i
-            sub_weight = [0] * rs.rank
-            for a in subset:
-                sub_weight = [x + y for x, y in zip(sub_weight, ps[a])]
-            # x_a v terms: (operator of x_a, start of the omitted subset, odd sign)
-            op_terms = [
-                (int_ops[a], index_in_degree[subset[:pos] + subset[pos + 1:]] * dim, pos % 2)
-                for pos, a in enumerate(subset)
-            ]
-            # bracket terms: (start of the target subset, scaled coefficient)
-            br_terms = []
-            for pa in range(p):
-                for pb in range(pa + 1, p):
-                    a, b = subset[pa], subset[pb]
-                    found = bracket_of.get((a, b))
-                    if found is None:
-                        continue
-                    m_idx, c = found
-                    rest = tuple(x for x in subset if x != a and x != b)
-                    if m_idx in rest:
-                        continue
-                    ins = sum(1 for x in rest if x < m_idx)
-                    sgn = -1 if (pa + pb + ins) % 2 == 0 else 1
-                    target = tuple(sorted(rest + (m_idx,)))
-                    br_terms.append((index_in_degree[target] * dim, sgn * c))
-            tables.append((p, i * dim, op_terms, br_terms, sub_weight))
-    # (subset, module weight) pairs grouped by total weight in one pass; each
-    # group lists degree by degree, subsets in order, weights sorted
-    by_total: dict[Weight, list] = {}
-    for p, start, op_terms, br_terms, sub_weight in tables:
+    # everything that depends only on a wedge subset S, once per subset and
+    # walked by degree (its popcount): its weight, its x_a v terms as
+    # (operator of x_a, start of S without a, odd sign) and its bracket
+    # terms as (start of the target subset, scaled coefficient); its
+    # (subset, module weight) pairs are grouped by total weight and degree,
+    # each degree listing its subsets by mask, weights sorted
+    by_total: dict[Weight, dict[int, list]] = {}
+    sub_weights = {0: (0,) * rs.rank}
+    for S in sorted(range(1 << n_roots), key=int.bit_count):
+        members = [a for a in range(n_roots) if S >> a & 1]
+        if S:
+            low = S & -S
+            root = ps[low.bit_length() - 1]
+            sub_weights[S] = tuple([x + y for x, y in zip(sub_weights[S ^ low], root)])
+        op_terms = [(int_ops[a], (S ^ 1 << a) * dim, pos % 2) for pos, a in enumerate(members)]
+        br_terms = []
+        for pa, a in enumerate(members):
+            for pb in range(pa + 1, len(members)):
+                found = bracket_of.get((a, members[pb]))
+                if found is None:
+                    continue
+                m_idx, c = found
+                rest = S ^ 1 << a ^ 1 << members[pb]
+                if not rest >> m_idx & 1:
+                    ins = (rest & (1 << m_idx) - 1).bit_count()
+                    br_terms.append(((rest | 1 << m_idx) * dim, c if (pa + pb + ins) % 2 else -c))
+        start, p, sub_weight = S * dim, len(members), sub_weights[S]
         for w in weights:
             total = tuple([x + y for x, y in zip(sub_weight, w)])
-            by_total.setdefault(total, []).append((p, start, op_terms, br_terms, spaces[w]))
+            by_total.setdefault(total, {}).setdefault(p, []).append(
+                (start, op_terms, br_terms, spaces[w])
+            )
 
     homology: dict[tuple[int, Weight], int] = {}
-    for total, entries in by_total.items():
-        # chain[p]: labels of the basis vectors of C_p(total), and their
-        # boundaries {label in degree p - 1: entry}; only the degrees p
-        # with C_p(total) != 0 appear, in increasing order
-        chain: dict[int, tuple[list[int], list[dict[int, int]]]] = {}
-        for p, start, op_terms, br_terms, space in entries:
-            basis = chain.get(p)
-            if basis is None:
-                basis = chain[p] = ([], [])
-            basis[0].extend(range(start + space.start, start + space.stop))
-            block = basis[1]
-            for v in space:
-                col: dict[int, int] = {}
-                # distinct terms of one column land on distinct basis vectors:
-                # the omitted root, or the pair {a, b} and the root a + b, is
-                # recovered from the target subset, so no entry ever cancels
-                for int_op, base, odd in op_terms:
-                    image = int_op.get(v)
-                    if image is not None:
-                        targets, vals, negs = image
-                        col.update(zip([base + t for t in targets], negs if odd else vals))
-                for base, c in br_terms:
-                    col[base + v] = c
-                block.append(col)
+    for total, chain in by_total.items():
+        # chain[p]: the entries of C_p(total); only the degrees p with
+        # C_p(total) != 0 appear, in increasing order
+        dims = {p: sum(len(entry[3]) for entry in entries) for p, entries in chain.items()}
         ranks: dict[int, int] = {}
-        dropped: set[int] = set()  # R_{p-1}: the pivot rows of the reduced d_{p-1}
-        for p, (labels, block) in chain.items():
+        for p, entries in chain.items():
             if p - 1 not in chain:
-                dropped = set()  # d_p is zero
+                dropped: set[int] = set()  # d_p is zero, so R_p is empty
                 continue
-            # the rank of the transpose equals the rank; columns become rows
-            rows = [
-                col if dropped.isdisjoint(col) else {c: x for c, x in col.items() if c not in dropped}
-                for col in block
-            ]
+            # the rank of the transpose equals the rank: the boundary of each
+            # basis vector of C_p(total) is one row, without the columns R_{p-1}
+            labels: list[int] = []
+            rows: list[dict[int, int]] = []
+            for start, op_terms, br_terms, space in entries:
+                labels.extend(range(start + space.start, start + space.stop))
+                for v in space:
+                    row: dict[int, int] = {}
+                    # distinct terms of one row land on distinct basis vectors:
+                    # the omitted root, or the pair {a, b} and the root a + b, is
+                    # recovered from the target subset, so no entry ever cancels
+                    for int_op, base, odd in op_terms:
+                        image = int_op.get(v)
+                        if image is not None:
+                            targets, vals, negs = image
+                            row.update(zip([base + t for t in targets], negs if odd else vals))
+                    for base, c in br_terms:
+                        row[base + v] = c
+                    for c in dropped.intersection(row):
+                        del row[c]
+                    rows.append(row)
             if p + 1 in chain:
                 pivots = sparse_int_pivots(rows)
                 ranks[p] = len(pivots)
                 dropped = {labels[i] for i in pivots}
             else:
                 ranks[p] = sparse_int_rank(rows)
-        for p, (labels, _) in chain.items():
-            h = len(labels) - ranks.get(p, 0) - ranks.get(p + 1, 0)
+        for p, n in dims.items():
+            h = n - ranks.get(p, 0) - ranks.get(p + 1, 0)
             if h < 0:
                 raise AssertionError("negative homology dimension; rank computation is wrong")
             if h:

@@ -14,7 +14,6 @@ stated once here and used consistently by the elliptic pairing and duals.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import comb, lcm
 
 from .charring import (
@@ -166,7 +165,9 @@ def ext_abelian_graded(nu, d: int) -> list[int]:
     """Graded Ext of the trivial module against the character nu of an
     abelian Lie algebra of dimension d, from the Koszul cochain complex
     Lambda^p(a^*) with differential (nu wedge -). Returns the list of
-    dim H^p for p = 0..d."""
+    dim H^p for p = 0..d. e_S is the bitmask S, of degree its popcount, and
+    e_j wedge e_S = (-1)^{#(S below j)} e_{S | j}. A negative dimension
+    raises AssertionError: a rank is wrong."""
     if d < 0:
         raise ValueError("dimension must be nonnegative")
     nu = [Fraction(x) for x in nu]
@@ -174,24 +175,20 @@ def ext_abelian_graded(nu, d: int) -> list[int]:
         raise ValueError(f"functional has length {len(nu)}, expected {d}")
     scale = lcm(*(x.denominator for x in nu))
     nu_int = [int(x * scale) for x in nu]
-    index = {}
-    for p in range(d + 1):
-        for subset in combinations(range(d), p):
-            index[subset] = len(index)
-    ranks = [0] * (d + 2)  # ranks[p] = rank of d_{p-1}: Lambda^{p-1} -> Lambda^p
-    for p in range(d):
-        rows = []
-        for subset in combinations(range(d), p):
-            row = {}
-            for j in range(d):
-                if j in subset or not nu_int[j]:
-                    continue
-                sgn = (-1) ** sum(1 for x in subset if x < j)
-                row[index[tuple(sorted(subset + (j,)))]] = sgn * nu_int[j]
-            if row:
-                rows.append(row)
-        ranks[p + 1] = sparse_int_rank(rows)
-    return [comb(d, p) - ranks[p + 1] - ranks[p] for p in range(d + 1)]
+    rows: list[list[dict[int, int]]] = [[] for _ in range(d + 1)]  # the rows of d_p, by p
+    for S in range(1 << d):
+        row = {
+            S | 1 << j: -c if (S & (1 << j) - 1).bit_count() % 2 else c
+            for j, c in enumerate(nu_int)
+            if c and not S >> j & 1
+        }
+        if row:
+            rows[S.bit_count()].append(row)
+    ranks = [0] + [sparse_int_rank(block) for block in rows]  # ranks[p] = rank of d_{p-1}
+    dims = [comb(d, p) - ranks[p] - ranks[p + 1] for p in range(d + 1)]
+    if min(dims) < 0:
+        raise AssertionError("negative Ext dimension; rank computation is wrong")
+    return dims
 
 
 def _twist(x: CharElement, w: WeylElement, rs: RootSystem) -> CharElement:

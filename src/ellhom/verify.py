@@ -202,10 +202,11 @@ def suite_antisym(cfg) -> list[dict]:
 def suite_abelian(cfg) -> list[dict]:
     """Graded Ext over abelian Lie algebras vanishes in every degree at a
     nonzero character. (At the trivial character no map is built, so the
-    binomial dimensions there hold by construction.)"""
+    binomial dimensions there hold by construction.) Every coordinate of
+    (1/2, 1, ..., d-1) is nonzero, so a wrong wedge sign changes a rank."""
     cases = []
     for d in range(1, 7):
-        dims = ext_abelian_graded([Fraction(1, 2)] + [0] * (d - 1), d)
+        dims = ext_abelian_graded([Fraction(1, 2)] + list(range(1, d)), d)
         cases.append(_case(f"abelian nu!=0 d={d}", "nonzero character", [0] * (d + 1), dims))
     return cases
 

@@ -7,6 +7,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ellhom import pairings
 from ellhom import (
     CharElement,
     PairContext,
@@ -163,6 +164,20 @@ def test_ext_abelian_euler_sums():
         for nu in ([0] * d, [Fraction(2, 7)] + [0] * (d - 1), list(range(1, d + 1))):
             dims = ext_abelian_graded(nu, d)
             assert sum((-1) ** p * v for p, v in enumerate(dims)) == 0
+
+
+def test_ext_abelian_vanishes_at_a_character_with_every_coordinate_nonzero():
+    # every boundary row has d - p entries, so a wrong wedge sign changes a
+    # rank here (the Euler sum above is 0 for any ranks)
+    for d in range(1, 7):
+        assert ext_abelian_graded(list(range(1, d + 1)), d) == [0] * (d + 1)
+
+
+def test_ext_abelian_raises_on_a_negative_dimension(monkeypatch):
+    original = pairings.sparse_int_rank
+    monkeypatch.setattr(pairings, "sparse_int_rank", lambda rows: original(rows) + 1)
+    with pytest.raises(AssertionError, match="negative Ext dimension"):
+        ext_abelian_graded([1, 2, 3], 3)
 
 
 # -- denominator symmetry and antisymmetry -----------------------------------

@@ -4,12 +4,16 @@ tracer for ``perfbench/run.py --trace 1`` and the faults for
 around the wrapped one, would break them; a fresh interpreter that installs
 the tracer, or plants the rank fault, catches that. The workloads call
 ``ellhom`` functions by module attribute name too, and a walk of their
-source checks that every such name exists."""
+source checks that every such name exists. One pass of each workload
+checks its outputs against the digests in ``perfbench/reference.json``."""
 
 import ast
 import importlib
+import json
 import subprocess
 import sys
+
+import pytest
 
 from conftest import ROOT, subprocess_env
 
@@ -63,3 +67,20 @@ def test_every_ellhom_name_the_workloads_read_exists():
     assert ("charring", "weyl_denominator_full") in read
     missing = sorted(f"{m}.{name}" for m, name in read if not hasattr(modules[m], name))
     assert not missing, f"perfbench/workloads.py reads names ellhom lacks: {missing}"
+
+
+@pytest.mark.parametrize("workload", ["oracle", "weyl", "lattice"])
+def test_one_benchmark_pass_matches_the_reference_digests(workload):
+    # -B: the pass writes no bytecode, and worker.py writes no file unless
+    # asked to record the reference
+    proc = subprocess.run(
+        [sys.executable, "-B", str(ROOT / "perfbench" / "worker.py"),
+         "--workload", workload, "--seed", "5113", "--spawned-at", "0"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["attempted"] > 0
+    assert result["failed"] == 0, result["failures"]
