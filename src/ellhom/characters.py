@@ -31,26 +31,13 @@ def require_dominant(lam: Weight, rs: RootSystem) -> None:
         raise ValueError(f"weight {lam} is not dominant")
 
 
-def dominant_representative(mu: Weight, rs: RootSystem) -> Weight:
-    """The dominant weight in the W-orbit of mu."""
-    mu = tuple(mu)
-    simple_roots = rs.simple_roots
-    while True:
-        for i, x in enumerate(mu):
-            if x < 0:
-                mu = tuple([y - x * a for y, a in zip(mu, simple_roots[i])])
-                break
-        else:
-            return mu
-
-
 def weight_system(lam: Weight, rs: RootSystem) -> dict[Weight, Weight]:
     """All weights of the irreducible module with highest weight lam, each
     mapped to the dominant weight in its W-orbit.
 
     Breadth-first from lam by subtracting simple roots; membership of a
-    candidate is decided by whether lam minus its dominant representative
-    lies in the nonnegative root lattice.
+    candidate is decided by whether lam minus its dominant representative,
+    from ``RootSystem.dominant_walk``, lies in the nonnegative root lattice.
     """
     require_dominant(lam, rs)
     lam = tuple(lam)
@@ -63,7 +50,7 @@ def weight_system(lam: Weight, rs: RootSystem) -> dict[Weight, Weight]:
                 nu = tuple(map(sub, mu, alpha))
                 if nu in found:
                     continue
-                dom = dominant_representative(nu, rs)
+                dom = rs.dominant_walk(nu)[0]
                 if rs.in_positive_root_lattice(tuple(map(sub, lam, dom))):
                     found[nu] = dom
                     new.append(nu)

@@ -240,11 +240,13 @@ class CharElement:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CharElement":
-        terms = json_field(data, "terms", list)
-        return cls(
-            json_field(data, "rank", int),
-            {json_ints(t, "w", 1): int(json_field(t, "c", str)) for t in terms},
-        )
+        terms = {}
+        for t in json_field(data, "terms", list):
+            mu = json_ints(t, "w", 1)
+            if mu in terms:
+                raise ValueError(f"JSON key 'terms' lists the weight {list(mu)} twice")
+            terms[mu] = int(json_field(t, "c", str))
+        return cls(json_field(data, "rank", int), terms)
 
 
 def merge_terms(a: dict, b: dict) -> dict:
@@ -348,13 +350,11 @@ def root_product(roots, rank: int) -> CharElement:
 
 
 def weyl_denominator_full(rs: RootSystem) -> CharElement:
-    """D = prod over all roots of (1 - e^alpha) = P * conj(P), expanded once
-    per root system and kept on it; it has at least |W| terms, so check_weyl_cap
-    first. Nothing in ellhom calls it; it is kept for the benchmark and tests."""
+    """D = prod over all roots of (1 - e^alpha) = P * conj(P), expanded on
+    each call; it has at least |W| terms, so check_weyl_cap first. Nothing in
+    ellhom calls it; it is kept for the benchmark and tests."""
     check_weyl_cap(rs)
-    if rs._full_denominator is None:
-        rs._full_denominator = root_product(rs.full_roots, rs.rank)
-    return rs._full_denominator
+    return root_product(rs.full_roots, rs.rank)
 
 
 def half_denominator(rs: RootSystem) -> CharElement:

@@ -67,8 +67,8 @@ COMPLEX_DIM_CAP = 1 << 16
 class GradedHomology(Frozen):
     """The graded character sum_p t^p ch H_p(n, V), p = 0..degrees-1, with
     the chosen n, stored as one sparse map terms {(p, mu): dim H_p[mu]}
-    (nonzero int entries only). Immutable and hashable; two are equal when
-    their degree counts, positive systems, ranks and terms are.
+    (nonzero int entries only). Immutable; two are equal when their degree
+    counts, positive systems, ranks and terms are.
 
     ``classes`` is the per-degree view, a tuple of CharElements."""
 
@@ -113,9 +113,6 @@ class GradedHomology(Frozen):
             and self.rank == other.rank
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.degrees, self.positive_system, self.rank, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         return f"GradedHomology(classes={self.classes!r}, positive_system={self.positive_system!r})"

@@ -25,12 +25,11 @@ from .charring import (
     torus_pairing,
     weyl_act,
 )
-from .koszul import GradedHomology, euler_class, normalize_positive_system
+from .koszul import GradedHomology, euler_class
 from .linalg import sparse_int_rank
 from .rootsystem import (
     Frozen,
     RootSystem,
-    Weight,
     WeylElement,
     WeylSubgroup,
     build_root_system,
@@ -42,16 +41,18 @@ from .rootsystem import (
 
 
 class PairContext(Frozen):
-    """Everything a pairing needs: the root system, a positive system, and
-    the subgroup W0 normalizing the compact Cartan. Every context is equal
-    rank; the catalog format records that as ``"equal_rank": true``
-    and refuses any other value. Immutable.
+    """Everything a pairing needs: the root system and the subgroup W0
+    normalizing the compact Cartan. The positive system is always R+; it is
+    kept, sorted, as ``positive_system`` for the catalog format and for
+    ``homological_pairing``, and a catalog that stores any other is refused.
+    Every context is equal rank; the catalog format records that as
+    ``"equal_rank": true`` and refuses any other value. Immutable.
     """
 
     __slots__ = ("rs", "positive_system", "w0")
 
-    def __init__(self, rs: RootSystem, positive_system: tuple[Weight, ...], w0: WeylSubgroup):
-        self._set(rs=rs, positive_system=normalize_positive_system(positive_system, rs), w0=w0)
+    def __init__(self, rs: RootSystem, w0: WeylSubgroup):
+        self._set(rs=rs, positive_system=tuple(sorted(rs.positive_roots)), w0=w0)
         for w in w0:
             if w.rank != rs.rank:
                 raise ValueError("W0 element rank does not match the root system")
@@ -78,35 +79,24 @@ class PairContext(Frozen):
         if json_field(data, "equal_rank", bool) is not True:
             raise ValueError("only equal-rank contexts are supported")
         rs = build_root_system(json_field(data, "series", str), json_field(data, "rank", int))
-        w0 = subgroup_from_generators(rs, json_ints(data, "w0", 3))
-        return cls(rs=rs, positive_system=json_ints(data, "positive_system", 2), w0=w0)
+        if sorted(json_ints(data, "positive_system", 2)) != sorted(rs.positive_roots):
+            raise ValueError(f"JSON key 'positive_system' must hold R+ of {rs.series}{rs.rank}")
+        return cls(rs, subgroup_from_generators(rs, json_ints(data, "w0", 3)))
 
 
 def compact_context(rs: RootSystem) -> PairContext:
     """Compact preset: W0 is the full Weyl group."""
-    return PairContext(
-        rs=rs,
-        positive_system=rs.positive_roots,
-        w0=rs.weyl_group(),
-    )
+    return PairContext(rs, rs.weyl_group())
 
 
 def split_rank_one_context(rs: RootSystem) -> PairContext:
     """Equal-rank preset with trivial W0, as for SL(2,R)."""
-    return PairContext(
-        rs=rs,
-        positive_system=rs.positive_roots,
-        w0=trivial_subgroup(rs),
-    )
+    return PairContext(rs, trivial_subgroup(rs))
 
 
 def custom_context(rs: RootSystem, generators) -> PairContext:
     """Equal-rank context with W0 closed and validated from a generator list."""
-    return PairContext(
-        rs=rs,
-        positive_system=rs.positive_roots,
-        w0=subgroup_from_generators(rs, generators),
-    )
+    return PairContext(rs, subgroup_from_generators(rs, generators))
 
 
 def _check_rank(ctx: PairContext, *elements):

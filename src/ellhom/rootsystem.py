@@ -227,7 +227,6 @@ class RootSystem:
         self._module_cache: dict[Weight, object] = {}
         self._bracket_cache = None
         self._half_denominator = None
-        self._full_denominator = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -310,37 +309,50 @@ class RootSystem:
 
     # -- Weyl elements ---------------------------------------------------------
 
+    def dominant_walk(self, mu) -> tuple[Weight, list[int]]:
+        """The dominant weight in the W-orbit of mu, and the word i_1 ... i_k
+        that reaches it: s_{i_k} ... s_{i_1} mu is dominant. Each step
+        reflects in the first negative coordinate."""
+        mu = tuple(mu)
+        simple_roots = self.simple_roots
+        word = []
+        while True:
+            for i, x in enumerate(mu):
+                if x < 0:
+                    mu = tuple([y - x * a for y, a in zip(mu, simple_roots[i])])
+                    word.append(i)
+                    break
+            else:
+                return mu, word
+
+    def _with_length(self, matrix) -> WeylElement:
+        """The Weyl element of a matrix already known to lie in W, with its
+        length #{alpha > 0 : w(alpha) < 0}; ValueError unless the matrix
+        permutes the roots."""
+        inv = 0
+        for alpha in self.positive_roots:
+            img = _matvec(matrix, alpha)
+            if img not in self._positive_set:
+                if img not in self._full_set:
+                    raise ValueError("matrix does not permute the roots")
+                inv += 1
+        return WeylElement(matrix=matrix, length=inv, sign=(-1) ** inv)
+
     def element_from_matrix(self, matrix) -> WeylElement:
-        """Wrap an integer matrix as a WeylElement; the length is the
-        inversion count #{alpha > 0 : w(alpha) < 0}.
+        """Certify an integer matrix from outside as an element of W, with
+        its length; ValueError otherwise. Run it only on such matrices: a
+        product of Weyl elements lies in W and needs only its length.
 
         Membership in W itself (not just Aut(R), which can be larger by
         diagram automorphisms) is certified by walking m*rho back to the
         dominant chamber and requiring the word to reproduce m: rho is
         regular, so W acts simply transitively on its orbit."""
         matrix = tuple(tuple(int(v) for v in row) for row in matrix)
-        inv = 0
-        for alpha in self.positive_roots:
-            img = _matvec(matrix, alpha)
-            if img not in self._full_set:
-                raise ValueError("matrix does not permute the roots")
-            if img not in self._positive_set:
-                inv += 1
-        mu = tuple(map(sum, matrix))  # m * rho
-        word = []
-        while True:
-            i = next((i for i, x in enumerate(mu) if x < 0), None)
-            if i is None:
-                break
-            alpha = self.simple_root(i)
-            mu = tuple(x - mu[i] * a for x, a in zip(mu, alpha))
-            word.append(i)
-        rebuilt = self.identity_element().matrix
-        for i in reversed(word):
-            rebuilt = _matmul(self._simple_reflection_matrices[i], rebuilt)
-        if mu != self.rho or rebuilt != matrix:
+        element = self._with_length(matrix)
+        mu, word = self.dominant_walk(map(sum, matrix))  # m * rho
+        if mu != self.rho or self.from_word(word).matrix != matrix:
             raise ValueError("matrix permutes the roots but does not lie in the Weyl group")
-        return WeylElement(matrix=matrix, length=inv, sign=(-1) ** inv)
+        return element
 
     def identity_element(self) -> WeylElement:
         eye = tuple(tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank))
@@ -351,15 +363,14 @@ class RootSystem:
             raise ValueError(f"simple reflection index {i} is not in 0..{self.rank - 1}")
         return WeylElement(matrix=self._simple_reflection_matrices[i], length=1, sign=-1)
 
-    def compose(self, w1: WeylElement, w2: WeylElement) -> WeylElement:
-        return self.element_from_matrix(_matmul(w1.matrix, w2.matrix))
-
     def from_word(self, word) -> WeylElement:
-        """The product s_{i_1} ... s_{i_k} of the simple reflections in word."""
+        """The product s_{i_1} ... s_{i_k} of the simple reflections in
+        word. It lies in W by construction, so only its length is
+        computed; nothing is certified."""
         matrix = self.identity_element().matrix
         for i in word:
             matrix = _matmul(matrix, self.simple_reflection(i).matrix)
-        return self.element_from_matrix(matrix)
+        return self._with_length(matrix)
 
     def weyl_group(self) -> WeylSubgroup:
         """The full W, enumerated once and cached."""
@@ -475,31 +486,30 @@ def enumerate_weyl_group(rs: RootSystem) -> WeylSubgroup:
 def subgroup_from_generators(rs: RootSystem, generators) -> WeylSubgroup:
     """Close a generator list into a subgroup of W, validating as we go.
 
-    Every element other than the identity is certified exactly once by
-    ``element_from_matrix``, and WEYL_CAP is checked before each insert. A
-    generator, taken as an integer matrix, that is already in the closure
-    of the earlier ones is skipped; any other is certified, inserted, and
-    the closure is taken again from all elements seen so far under the
-    generators kept. Each round ends closed under right multiplication by
-    the kept generators, which in a finite group makes it the subgroup they
-    generate.
+    A generator, taken as an integer matrix, that is already in the closure
+    of the earlier ones is skipped; any other is certified by
+    ``element_from_matrix`` and kept, and the closure is taken again from
+    all elements seen so far under the generators kept. W is closed under
+    products, so a closure product needs only its length. WEYL_CAP is
+    checked before each insert. Each round ends closed under right
+    multiplication by the kept generators, which in a finite group makes it
+    the subgroup they generate.
     """
     identity = rs.identity_element()
     seen = {identity.matrix: identity}
     kept = []
 
-    def insert(matrix):
-        element = rs.element_from_matrix(matrix)
+    def insert(element):
         if len(seen) >= WEYL_CAP:
             raise CapExceededError(f"group too large: subgroup closure exceeds cap {WEYL_CAP}")
-        seen[matrix] = element
+        seen[element.matrix] = element
 
     for g in generators:
         rows = g.matrix if isinstance(g, WeylElement) else g
         g = tuple(tuple(int(v) for v in row) for row in rows)
         if g in seen:
             continue
-        insert(g)
+        insert(rs.element_from_matrix(g))
         kept.append(g)
         frontier = list(seen)
         while frontier:
@@ -508,7 +518,7 @@ def subgroup_from_generators(rs: RootSystem, generators) -> WeylSubgroup:
                 for k in kept:
                     prod = _matmul(m, k)
                     if prod not in seen:
-                        insert(prod)
+                        insert(rs._with_length(prod))
                         new.append(prod)
             frontier = new
     elements = sorted(seen.values(), key=lambda w: (w.length, w.matrix))

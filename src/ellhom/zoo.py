@@ -172,19 +172,20 @@ class Catalog(Frozen):
         entries = json_field(data, "modules", list)
         if not entries:
             raise ValueError("JSON key 'modules' must not be empty")
-        modules = []
+        modules = {}
         for m in entries:
+            label = json_field(m, "label", str)
+            if label in modules:
+                raise ValueError(f"JSON key 'label' repeats the label {label!r}")
             homology = json_field(m, "homology", dict, type(None))
-            modules.append(
-                VirtualModule(
-                    label=json_field(m, "label", str),
-                    ctx=ctx,
-                    euler=CharElement.from_dict(json_field(m, "euler", dict)),
-                    homology=GradedHomology.from_dict(homology) if homology is not None else None,
-                    provenance=json_field(m, "provenance", str),
-                )
+            modules[label] = VirtualModule(
+                label=label,
+                ctx=ctx,
+                euler=CharElement.from_dict(json_field(m, "euler", dict)),
+                homology=GradedHomology.from_dict(homology) if homology is not None else None,
+                provenance=json_field(m, "provenance", str),
             )
-        return cls(context=ctx, modules=tuple(modules))
+        return cls(context=ctx, modules=tuple(modules.values()))
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -193,8 +194,14 @@ class Catalog(Frozen):
 
     @classmethod
     def load(cls, path) -> "Catalog":
+        """The catalog saved at path. A file nested too deeply for the JSON
+        parser is a ValueError naming the file, like any malformed one."""
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"catalog file {path} is nested too deeply to parse") from None
+        return cls.from_dict(data)
 
 
 def compact_catalog(rs: RootSystem, bound: int) -> Catalog:

@@ -306,12 +306,22 @@ def test_malformed_catalogs_are_usage_errors(tmp_path):
     for data, numbers in ((shifted, (5, 7)), (repeated, (0, 0))):
         for entry, p in zip(data["modules"][0]["homology"]["degrees"], numbers):
             entry["p"] = p
+    # s_0(R+) = {-alpha_0} is a positive system, but not the context's R+
+    flipped_ps = json.loads(good.read_text())
+    flipped_ps["context"]["positive_system"] = [[-2]]
+    twice_weight = json.loads(good.read_text())
+    twice_weight["modules"][0]["euler"]["terms"] = [{"w": [0], "c": "1"}, {"w": [0], "c": "2"}]
+    twice_label = json.loads(good.read_text())
+    twice_label["modules"][1]["label"] = twice_label["modules"][0]["label"]
+    label = twice_label["modules"][0]["label"]
     cases = (({"modules": []}, "'context'"), ([1, 2], "'context'"),
              (no_homology, "'homology'"), (bad_w0, "'w0'"), (no_modules, "'modules'"),
-             (shifted, "'p'"), (repeated, "'p'"))
+             (shifted, "'p'"), (repeated, "'p'"), (flipped_ps, "'positive_system'"),
+             (twice_weight, "weight [0] twice"), (twice_label, repr(label)),
+             ("[" * 100_000, "bad.json"))
     for data, key in cases:
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data))
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
         proc = run_cli("pairing", "--catalog", str(path), "--kind", "elliptic")
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and key in proc.stderr

@@ -370,4 +370,4 @@ def test_compact_chain_small(b2):
 
 def test_context_rejects_a_w0_element_of_another_rank(a1, a2):
     with pytest.raises(ValueError, match="W0 element rank does not match the root system"):
-        PairContext(rs=a2, positive_system=a2.positive_roots, w0=a1.weyl_group())
+        PairContext(rs=a2, w0=a1.weyl_group())

@@ -4,8 +4,9 @@ tracer for ``perfbench/run.py --trace 1`` and the faults for
 around the wrapped one, would break them; a fresh interpreter that installs
 the tracer, or plants the rank fault, catches that. The workloads call
 ``ellhom`` functions by module attribute name too, and a walk of their
-source checks that every such name exists. One pass of each workload
-checks its outputs against the digests in ``perfbench/reference.json``."""
+source checks that every such name exists. One pass of each workload,
+untraced and traced, checks its outputs against the digests in
+``perfbench/reference.json``."""
 
 import ast
 import importlib
@@ -69,13 +70,17 @@ def test_every_ellhom_name_the_workloads_read_exists():
     assert not missing, f"perfbench/workloads.py reads names ellhom lacks: {missing}"
 
 
-@pytest.mark.parametrize("workload", ["oracle", "weyl", "lattice"])
-def test_one_benchmark_pass_matches_the_reference_digests(workload):
+@pytest.mark.parametrize("workload,traced", [
+    pytest.param(workload, traced, id=workload + "-traced" * traced)
+    for traced in (False, True) for workload in ("oracle", "weyl", "lattice")
+])
+def test_one_benchmark_pass_matches_the_reference_digests(workload, traced):
     # -B: the pass writes no bytecode, and worker.py writes no file unless
-    # asked to record the reference
+    # asked to record the reference or to write the spans (--spans-out)
     proc = subprocess.run(
         [sys.executable, "-B", str(ROOT / "perfbench" / "worker.py"),
-         "--workload", workload, "--seed", "5113", "--spawned-at", "0"],
+         "--workload", workload, "--seed", "5113", "--spawned-at", "0"]
+        + ["--trace"] * traced,
         capture_output=True,
         text=True,
         timeout=300,
@@ -84,3 +89,4 @@ def test_one_benchmark_pass_matches_the_reference_digests(workload):
     result = json.loads(proc.stdout)
     assert result["attempted"] > 0
     assert result["failed"] == 0, result["failures"]
+    assert ("layers" in result) == traced

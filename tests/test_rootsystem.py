@@ -258,9 +258,14 @@ def test_act_examples(a1, a2):
     assert e.act((5,)) == (5,)
     s = a1.simple_reflection(0)
     assert s.act((1,)) == (-1,)
-    longest = a2.compose(a2.compose(a2.simple_reflection(0), a2.simple_reflection(1)), a2.simple_reflection(0))
+    s0, s1 = a2.simple_reflection(0), a2.simple_reflection(1)
+    longest = a2.from_word([0, 1, 0])
     assert longest.act((1, 1)) == (-1, -1)
-    assert a2.from_word([0, 1, 0]) == longest
+    # the word's product is the composite of the three actions, and its
+    # length is the one the certificate gives
+    assert all(longest.act(mu) == s0.act(s1.act(s0.act(mu))) for mu in ((1, 0), (0, 1)))
+    assert a2.element_from_matrix(longest.matrix) == longest
+    assert (longest.length, longest.sign) == (3, -1)
     assert a2.from_word([]) == a2.identity_element()
     with pytest.raises(ValueError, match="rank mismatch"):
         s.act((1, 0))
@@ -281,10 +286,10 @@ def test_rho_shift_agrees_with_matrix_action(token):
     # oracle: rho - w*rho is the sum of the positive roots sent negative by w^-1
     rs = parse_type(token)
     group = list(enumerate_weyl_group(rs))
-    identity = rs.identity_element()
+    units = rs.identity_element().matrix
     for w in group:
         via_action = rho_shift(w, rs)
-        winv = next(u for u in group if rs.compose(u, w) == identity)
+        winv = next(u for u in group if all(u.act(w.act(e)) == e for e in units))
         root_sum = [0] * rs.rank
         for alpha in rs.positive_roots:
             if not rs.is_positive_root(winv.act(alpha)):
@@ -320,7 +325,7 @@ def test_subgroup_closure_with_redundant_generators(monkeypatch):
         sub = subgroup_from_generators(rs, gens)
         assert [(w.matrix, w.length, w.sign) for w in sub] == expected
     # a proper subgroup reached through a redundant product
-    s0s1 = rs.compose(simple[0], simple[1])
+    s0s1 = rs.from_word([0, 1])
     assert subgroup_from_generators(rs, [s0s1, simple[0], simple[1], s0s1]).order == 6
     assert subgroup_from_generators(rs, [rs.identity_element()]).order == 1
     monkeypatch.setattr(rootsystem, "WEYL_CAP", 23)
@@ -332,8 +337,10 @@ def test_subgroup_closure_with_redundant_generators(monkeypatch):
 
 
 def test_subgroup_closure_certifies_each_element_once(monkeypatch):
-    # W(A4) from all 120 elements and from the 4 simple reflections: each
-    # of the 119 non-identity elements goes through element_from_matrix once
+    # W(A4) from all 120 elements and from the 4 simple reflections: only
+    # the generators the closure keeps, the 4 simple reflections either
+    # way, go through element_from_matrix; a closure product needs only
+    # its length
     rs = build_root_system("A", 4)
     group = list(rs.weyl_group())
     certified = []
@@ -344,11 +351,12 @@ def test_subgroup_closure_certifies_each_element_once(monkeypatch):
         return certify(matrix)
 
     monkeypatch.setattr(rs, "element_from_matrix", counting)
-    expected = sorted(w.matrix for w in group if w.length)
+    expected = sorted(w.matrix for w in group if w.length == 1)
+    assert len(expected) == 4
     for gens in (group, [rs.simple_reflection(i) for i in range(4)]):
         certified.clear()
         sub = subgroup_from_generators(rs, gens)
-        assert [w.matrix for w in sub] == [w.matrix for w in group]
+        assert list(sub) == group  # matrices, lengths and signs
         assert sorted(certified) == expected
 
 
@@ -372,7 +380,7 @@ def test_subgroup_membership_is_by_matrix(a2):
     sub = subgroup_from_generators(a2, [a2.simple_reflection(0)])
     s1 = a2.simple_reflection(1)
     assert s1 not in sub
-    assert a2.compose(a2.simple_reflection(0), a2.simple_reflection(0)) in sub
+    assert a2.from_word([0, 0]) in sub
     assert all(w in sub for w in sub)
 
 
