@@ -34,13 +34,11 @@ from .pairings import (
     check_antisym_i,
     check_denominator_symmetry,
     compact_context,
-    custom_context,
     dual_class,
     elliptic_pairing,
     ext_abelian_graded,
     gram,
     homological_pairing,
-    split_rank_one_context,
 )
 from .rootsystem import (
     CapExceededError,
@@ -59,13 +57,11 @@ from .rootsystem import (
 )
 from .zoo import (
     Catalog,
-    GeometricDatum,
     VirtualModule,
     compact_catalog,
     compact_irreducible,
     dual_standard_class,
     sl2_catalog,
-    sl2_presets,
     standard_module_class,
 )
 

@@ -245,7 +245,13 @@ class CharElement:
             mu = json_ints(t, "w", 1)
             if mu in terms:
                 raise ValueError(f"JSON key 'terms' lists the weight {list(mu)} twice")
-            terms[mu] = int(json_field(t, "c", str))
+            c = json_field(t, "c", str)
+            digits = c.removeprefix("-")  # the form to_dict writes: no space, "+" or "_"
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(
+                    f"JSON key 'c' of the weight {list(mu)} must be a decimal integer, got {c!r}"
+                )
+            terms[mu] = int(c)
         return cls(json_field(data, "rank", int), terms)
 
 

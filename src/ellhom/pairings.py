@@ -36,7 +36,6 @@ from .rootsystem import (
     check_gram_cap,
     rho_shift,
     subgroup_from_generators,
-    trivial_subgroup,
 )
 
 
@@ -87,16 +86,6 @@ class PairContext(Frozen):
 def compact_context(rs: RootSystem) -> PairContext:
     """Compact preset: W0 is the full Weyl group."""
     return PairContext(rs, rs.weyl_group())
-
-
-def split_rank_one_context(rs: RootSystem) -> PairContext:
-    """Equal-rank preset with trivial W0, as for SL(2,R)."""
-    return PairContext(rs, trivial_subgroup(rs))
-
-
-def custom_context(rs: RootSystem, generators) -> PairContext:
-    """Equal-rank context with W0 closed and validated from a generator list."""
-    return PairContext(rs, subgroup_from_generators(rs, generators))
 
 
 def _check_rank(ctx: PairContext, *elements):

@@ -39,7 +39,7 @@ from .pairings import (
     gram,
 )
 from .rootsystem import CapExceededError, check_gram_cap, dominant_box, parse_type
-from .zoo import GeometricDatum, dual_standard_class, sl2_catalog, standard_module_class
+from .zoo import dual_standard_class, sl2_catalog, standard_module_class
 
 DEFAULT_BOUND = 3
 
@@ -231,9 +231,8 @@ def suite_standard(cfg) -> list[dict]:
         cctx = compact_context(rs)
         for v in product(range(-3, 4), repeat=rs.rank):
             for s in (0, 1):
-                datum = GeometricDatum(closed=True, v_weight=v, s=s, ctx=cctx)
-                direct = dual_standard_class(datum)
-                composed = dual_class(standard_module_class(datum), cctx)
+                direct = dual_standard_class(v, s, cctx)
+                composed = dual_class(standard_module_class(v, s, cctx), cctx)
                 count += 1
                 if direct != composed:
                     bad_dual += 1

@@ -193,7 +193,7 @@ def test_half_denominator(a1, a2, b2):
         assert weyl_denominator_full(rs) == h * h.conjugate()
 
 
-def test_full_denominator_is_expanded_once_per_root_system(a2):
+def test_full_denominator_expands_the_product_over_all_roots(a2):
     d = weyl_denominator_full(a2)
     assert d.terms == oracle_product_expansion(a2.full_roots)
 

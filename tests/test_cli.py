@@ -292,6 +292,23 @@ def test_pairing_output_bytes_are_pinned(args, tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == expected, emit
 
 
+# sha256 of the --save-catalog file of `ellhom pairing` for each input; the
+# catalog format is part of the interface too
+SAVED_CATALOG_SHA256 = {
+    "--preset sl2 --kind elliptic":
+        "47c46e559c9a4d0f07d189fef653e6750c33e94d39cdf93f76af4c7becd83ee4",
+    "--preset compact --type B2 --bound 2 --kind multiplicity":
+        "55b997b830799c2ea94bebc2cee622f2a31039b1f44f80c5eb20b97176c1a02f",
+}
+
+
+@pytest.mark.parametrize("args", sorted(SAVED_CATALOG_SHA256))
+def test_saved_catalog_bytes_are_pinned(args, tmp_path):
+    path = tmp_path / "catalog.json"
+    assert main(["pairing", *args.split(), "--save-catalog", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_CATALOG_SHA256[args]
+
+
 def test_malformed_catalogs_are_usage_errors(tmp_path):
     good = tmp_path / "good.json"
     assert main(["pairing", "--preset", "sl2", "--bound", "1", "--kind", "elliptic",
@@ -314,11 +331,28 @@ def test_malformed_catalogs_are_usage_errors(tmp_path):
     twice_label = json.loads(good.read_text())
     twice_label["modules"][1]["label"] = twice_label["modules"][0]["label"]
     label = twice_label["modules"][0]["label"]
+    # a coefficient in any form but the one to_dict writes, with no homology
+    # for the Euler class to disagree with
+    weight = json.loads(good.read_text())["modules"][0]["euler"]["terms"][0]["w"]
+    odd_coefficients = []
+    for c in ("x", " 5 ", "+1", "1_000"):
+        data = json.loads(good.read_text())
+        data["modules"][0]["euler"]["terms"][0]["c"] = c
+        data["modules"][0]["homology"] = None
+        odd_coefficients.append((data, f"'c' of the weight {weight} must be a decimal integer"))
+    # a class of rank 2 in an A1 catalog, and a homology over s_0(R+)
+    rank_2 = json.loads(good.read_text())
+    rank_2["modules"][0]["euler"] = CharElement.one(2).to_dict()
+    rank_2["modules"][0]["homology"] = None
+    flipped_homology = json.loads(good.read_text())
+    flipped_homology["modules"][0]["homology"]["positive_system"] = [[-2]]
     cases = (({"modules": []}, "'context'"), ([1, 2], "'context'"),
              (no_homology, "'homology'"), (bad_w0, "'w0'"), (no_modules, "'modules'"),
              (shifted, "'p'"), (repeated, "'p'"), (flipped_ps, "'positive_system'"),
              (twice_weight, "weight [0] twice"), (twice_label, repr(label)),
-             ("[" * 100_000, "bad.json"))
+             ("[" * 100_000, "bad.json"), *odd_coefficients,
+             (rank_2, f"class {label!r} has rank 2"),
+             (flipped_homology, f"class {label!r} has homology over a positive system"))
     for data, key in cases:
         path = tmp_path / "bad.json"
         path.write_text(data if isinstance(data, str) else json.dumps(data))

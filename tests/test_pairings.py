@@ -15,7 +15,6 @@ from ellhom import (
     check_antisym_i,
     check_denominator_symmetry,
     compact_context,
-    custom_context,
     dominant_box,
     dual_class,
     elliptic_pairing,
@@ -28,7 +27,8 @@ from ellhom import (
     koszul_n_homology,
     kostant_homology,
     parse_type,
-    split_rank_one_context,
+    subgroup_from_generators,
+    trivial_subgroup,
     weyl_character,
 )
 from ellhom.verify import DEFAULT_BOUND, RANK_LE_3
@@ -64,7 +64,7 @@ def test_multiplicity_rejects_bad_inputs(a1):
     not_invariant = CharElement.monomial((1,))
     with pytest.raises(ValueError, match="W-invariant"):
         gram("multiplicity", [not_invariant, not_invariant], ctx)
-    sl2 = split_rank_one_context(a1)
+    sl2 = PairContext(a1, trivial_subgroup(a1))
     chi = weyl_character((1,), a1)
     with pytest.raises(ValueError, match="compact context"):
         gram("multiplicity", [chi, chi], sl2)
@@ -81,7 +81,7 @@ def test_elliptic_compact_a1(a1):
 
 
 def test_elliptic_split_rank_one(a1):
-    ctx = split_rank_one_context(a1)
+    ctx = PairContext(a1, trivial_subgroup(a1))
     ds = CharElement(1, {(5,): -1})
     assert elliptic_pairing(ds, ds, ctx) == 1
     other = CharElement(1, {(3,): -1})
@@ -206,9 +206,9 @@ def test_antisym_i_examples(a1, a2):
         assert check_antisym_i(xi2, a2.simple_reflection(i), ctx2)
 
 
-def test_antisym_i_requires_w0_membership(a2):
-    ctx = split_rank_one_context(parse_type("A1"))
-    s = parse_type("A1").simple_reflection(0)
+def test_antisym_i_requires_w0_membership(a1):
+    ctx = PairContext(a1, trivial_subgroup(a1))
+    s = a1.simple_reflection(0)
     with pytest.raises(ValueError, match="W0"):
         check_antisym_i(CharElement.one(1), s, ctx)
 
@@ -346,10 +346,11 @@ def test_homological_pairing_is_biadditive(a1):
 
 
 def test_custom_context_closure_validation(a2):
-    ctx = custom_context(a2, [a2.simple_reflection(0)])
+    ctx = PairContext(a2, subgroup_from_generators(a2, [a2.simple_reflection(0)]))
     assert ctx.w0_order == 2
     assert not ctx.w0_is_full
-    full = custom_context(a2, [a2.simple_reflection(0), a2.simple_reflection(1)])
+    simple = [a2.simple_reflection(0), a2.simple_reflection(1)]
+    full = PairContext(a2, subgroup_from_generators(a2, simple))
     assert full.w0_is_full
 
 
