@@ -5,12 +5,7 @@ Euler-Poincare pairing, which in the compact case is the multiplicity
 pairing dim Hom_G.
 """
 
-from .characters import (
-    InternalConsistencyError,
-    freudenthal_character,
-    weyl_character,
-    weyl_dimension,
-)
+from .characters import freudenthal_character, weyl_character, weyl_dimension
 from .charring import (
     CharElement,
     divide_exact,

@@ -18,10 +18,6 @@ from .charring import CharElement, divide_exact, half_denominator
 from .rootsystem import RootSystem, Weight
 
 
-class InternalConsistencyError(RuntimeError):
-    """An identity that must hold for valid inputs failed; signals a bug."""
-
-
 def require_dominant(lam: Weight, rs: RootSystem) -> None:
     """The one check that a highest weight has rank rs.rank and is
     dominant; ValueError otherwise."""
@@ -109,7 +105,7 @@ def freudenthal_character(lam: Weight, rs: RootSystem) -> CharElement:
         denom = top - scaled_norm(tuple(map(add, mu, rho)))
         value, r = divmod(2 * total, denom)
         if r or value <= 0:
-            raise InternalConsistencyError(f"non-integral multiplicity at {mu}")
+            raise AssertionError(f"non-integral multiplicity at {mu}")
         mults[mu] = value
     return CharElement(rs.rank, {nu: mults[dom] for nu, dom in weights.items()})
 
@@ -122,7 +118,7 @@ def weyl_dimension(lam: Weight, rs: RootSystem) -> int:
     for alpha in rs.positive_roots:
         value *= Fraction(rs.inner(lam_rho, alpha), rs.inner(rs.rho, alpha))
     if value.denominator != 1:
-        raise InternalConsistencyError("Weyl dimension is not an integer")
+        raise AssertionError("Weyl dimension is not an integer")
     return int(value)
 
 
@@ -141,6 +137,6 @@ def weyl_character(lam: Weight, rs: RootSystem) -> CharElement:
     try:
         return divide_exact(numerator, half_denominator(rs).conjugate(), rs)
     except ValueError as exc:
-        raise InternalConsistencyError(
+        raise AssertionError(
             f"Weyl numerator for {lam} is not divisible by the denominator"
         ) from exc

@@ -17,6 +17,7 @@ the two term maps in C and visit only the weights they share.
 from __future__ import annotations
 
 import heapq
+import sys
 from itertools import accumulate, repeat
 from math import prod
 from numbers import Rational
@@ -247,7 +248,8 @@ class CharElement:
                 raise ValueError(f"JSON key 'terms' lists the weight {list(mu)} twice")
             c = json_field(t, "c", str)
             digits = c.removeprefix("-")  # the form to_dict writes: no space, "+" or "_"
-            if not (digits.isascii() and digits.isdigit()):
+            limit = sys.get_int_max_str_digits()  # 0: no limit
+            if not (digits.isascii() and digits.isdigit()) or 0 < limit < len(digits):
                 raise ValueError(
                     f"JSON key 'c' of the weight {list(mu)} must be a decimal integer, got {c!r}"
                 )

@@ -7,11 +7,13 @@ only on the subcommands that read it (``--timing`` only on ``verify``), and
 ``--bound`` with a catalog source that does not read them. A root system is
 named by one ``--type`` token such as ``A2``. Every input has one flag; there
 is no config file. The caps are fixed: ``rootsystem.WEYL_CAP`` on Weyl
-groups and on n * max(n, |W|) for n classes, ``koszul.DIM_CAP`` on modules
-and ``koszul.COMPLEX_DIM_CAP`` on chain complexes.
+groups and on n * max(n, |W|) for n classes (n = |W| for ``weyldenom``),
+``koszul.DIM_CAP`` on modules and ``koszul.COMPLEX_DIM_CAP`` on chain
+complexes.
 
-Exit codes: 0 all good, 1 verification failure, 2 usage error (including a
-cap hit), 3 internal error. Every ``verify`` case runs on a fixed input set,
+Exit codes: 0 all good, 1 verification failure, 2 usage error (a
+ValueError, or a CapExceededError for a cap hit), 3 internal error (an
+AssertionError). Every ``verify`` case runs on a fixed input set,
 so JSON reports are deterministic for a fixed config (timing is opt-in so
 that byte-identical reruns stay byte-identical).
 """
@@ -23,24 +25,20 @@ import json
 import sys
 
 from . import verify
-from .characters import InternalConsistencyError, freudenthal_character, weyl_character
+from .characters import freudenthal_character, weyl_character
 from .koszul import euler_class, koszul_n_homology
 from .pairings import check_antisym_i, gram
 from .rootsystem import CapExceededError, parse_type
 from .zoo import Catalog, compact_catalog, sl2_catalog
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
     try:
         coords = tuple(int(x) for x in text.replace(" ", "").split(","))
     except ValueError:
-        raise UsageError(f"cannot parse weight {text!r}") from None
+        raise ValueError(f"cannot parse weight {text!r}") from None
     if len(coords) != rank:
-        raise UsageError(f"weight {text!r} does not have rank {rank}")
+        raise ValueError(f"weight {text!r} does not have rank {rank}")
     return coords
 
 
@@ -92,7 +90,7 @@ def cmd_homology(args) -> int:
         try:
             letters = [int(i) for i in args.word.split(",")]
         except ValueError:
-            raise UsageError(f"--word letters must be integers, got {args.word!r}") from None
+            raise ValueError(f"--word letters must be integers, got {args.word!r}") from None
         w = rs.from_word(letters)
         ps = tuple(w.act(a) for a in rs.positive_roots)
     gh = koszul_n_homology(lam, ps, rs)
@@ -114,13 +112,13 @@ PAIRING_SOURCE_FLAGS = {
 
 def cmd_pairing(args) -> int:
     if not (args.catalog or args.preset):
-        raise UsageError("pairing needs --catalog FILE or --preset NAME")
+        raise ValueError("pairing needs --catalog FILE or --preset NAME")
     if args.catalog and args.preset:
-        raise UsageError("--preset does not apply to --catalog")
+        raise ValueError("--preset does not apply to --catalog")
     source = "--catalog" if args.catalog else f"--preset {args.preset}"
     for flag in ("type", "bound"):
         if getattr(args, flag) is not None and flag not in PAIRING_SOURCE_FLAGS[source]:
-            raise UsageError(f"--{flag} does not apply to {source}")
+            raise ValueError(f"--{flag} does not apply to {source}")
     bound = 3 if args.bound is None else args.bound
     if args.catalog:
         cat = Catalog.load(args.catalog)
@@ -132,7 +130,7 @@ def cmd_pairing(args) -> int:
         cat.save(args.save_catalog)
     ctx = cat.context
     if args.kind == "multiplicity" and not ctx.w0_is_full:
-        raise UsageError("multiplicity pairing requires a compact catalog")
+        raise ValueError("multiplicity pairing requires a compact catalog")
     ctx_summary = {
         "series": ctx.rs.series,
         "rank": ctx.rs.rank,
@@ -145,7 +143,7 @@ def cmd_pairing(args) -> int:
         reflections = [ctx.rs.simple_reflection(i) for i in range(ctx.rs.rank)]
         for m in cat.modules:
             if not all(check_antisym_i(m.euler, s, ctx) for s in reflections):
-                raise UsageError(f"class {m.label} is not P * chi with chi W-invariant")
+                raise ValueError(f"class {m.label} is not P * chi with chi W-invariant")
     matrix = [[str(v) for v in row] for row in gram("elliptic", [m.euler for m in cat.modules], ctx)]
     labels = [m.label for m in cat.modules]
     rows = [
@@ -170,10 +168,10 @@ def cmd_verify(args) -> int:
     if args.type:
         parse_type(args.type)  # an unsupported type is a usage error, before any suite runs
     if cfg["bound"] <= 0:
-        raise UsageError(f"bound must be positive, got {cfg['bound']}")
+        raise ValueError(f"bound must be positive, got {cfg['bound']}")
     unknown = [s for s in cfg["suites"] if s not in verify.SUITE_RUNNERS]
     if unknown:
-        raise UsageError(f"unknown suites {unknown}; available: {', '.join(verify.SUITES)}")
+        raise ValueError(f"unknown suites {unknown}; available: {', '.join(verify.SUITES)}")
     result = verify.run_suites(cfg)
     lines = []
     for report in result["reports"]:
@@ -247,10 +245,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError, CapExceededError, OSError) as exc:
+    except (ValueError, CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InternalConsistencyError, AssertionError) as exc:
+    except AssertionError as exc:
         print(f"error: internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -158,25 +158,19 @@ class GradedHomology(Frozen):
 
 
 def normalize_positive_system(positive_system, rs: RootSystem) -> tuple[Weight, ...]:
-    """Validate that the given roots form a positive system w(R+) closed
-    under addition, and return them in a canonical sorted order."""
-    ps = tuple(sorted(tuple(a) for a in positive_system))
-    if len(ps) != len(rs.positive_roots):
-        raise ValueError("positive system has the wrong number of roots")
-    seen = set(ps)
-    if len(seen) != len(ps):
-        raise ValueError("positive system has repeated roots")
+    """The given roots, sorted, when they are a positive system u(R+);
+    ValueError otherwise. W acts simply transitively on positive systems,
+    and the sum of u(R+) is u(2 rho), a regular weight: the walk of the
+    roots' sum to the dominant chamber names the one u that can fit, and
+    the roots are certified by comparison with u(R+)."""
+    ps = sorted(tuple(a) for a in positive_system)
     for alpha in ps:
-        if alpha not in rs._full_set:
-            raise ValueError(f"{alpha} is not a root")
-        if tuple(-x for x in alpha) in seen:
-            raise ValueError("positive system contains a root and its negative")
-    for a in ps:
-        for b in ps:
-            total = tuple(x + y for x, y in zip(a, b))
-            if total in rs._full_set and total not in seen:
-                raise ValueError("positive system is not closed under addition")
-    return ps
+        if len(alpha) != rs.rank:
+            raise ValueError(f"root {alpha} does not have rank {rs.rank}")
+    u = rs.from_word(rs.dominant_walk(map(sum, zip(*ps, (0,) * rs.rank)))[1])
+    if ps != sorted(u.act(a) for a in rs.positive_roots):
+        raise ValueError(f"the roots are not a positive system of {rs.series}{rs.rank}")
+    return tuple(ps)
 
 
 def check_complex_caps(lam: Weight, rs: RootSystem) -> int:

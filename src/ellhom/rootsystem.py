@@ -340,14 +340,19 @@ class RootSystem:
 
     def element_from_matrix(self, matrix) -> WeylElement:
         """Certify an integer matrix from outside as an element of W, with
-        its length; ValueError otherwise. Run it only on such matrices: a
-        product of Weyl elements lies in W and needs only its length.
+        its length; ValueError otherwise, naming the shape of one that is
+        not rank x rank. Run it only on matrices from outside: a product of
+        Weyl elements lies in W and needs only its length.
 
         Membership in W itself (not just Aut(R), which can be larger by
         diagram automorphisms) is certified by walking m*rho back to the
         dominant chamber and requiring the word to reproduce m: rho is
         regular, so W acts simply transitively on its orbit."""
         matrix = tuple(tuple(int(v) for v in row) for row in matrix)
+        cols = sorted({len(row) for row in matrix})
+        if len(matrix) != self.rank or cols != [self.rank]:
+            shape = f"{len(matrix)} x {'/'.join(map(str, cols)) or 0}"
+            raise ValueError(f"matrix of shape {shape} is not {self.rank} x {self.rank}")
         element = self._with_length(matrix)
         mu, word = self.dominant_walk(map(sum, matrix))  # m * rho
         if mu != self.rho or self.from_word(word).matrix != matrix:
@@ -436,13 +441,14 @@ def check_weyl_cap(rs: RootSystem) -> int:
 
 def check_gram_cap(n: int, rs: RootSystem) -> None:
     """CapExceededError when n * max(n, |W|) exceeds WEYL_CAP (read at call
-    time), for n classes or weights over rs: their n^2 pairings, each over
-    classes of about |W| terms. Called before W is enumerated and before
-    the first class is built."""
+    time): for n classes or weights over rs, their n^2 pairings, each over
+    classes of about |W| terms; for n = |W|, |W| expansions of at least |W|
+    terms each. Called before W is enumerated and before the first class
+    is built."""
     work = n * max(n, rs.weyl_order)
     if work > WEYL_CAP:
         raise CapExceededError(
-            f"too many classes: {n} * max({n}, |W({rs.series}{rs.rank})|) = {work} exceeds cap {WEYL_CAP}"
+            f"too much work: {n} * max({n}, |W({rs.series}{rs.rank})|) = {work} exceeds cap {WEYL_CAP}"
         )
 
 

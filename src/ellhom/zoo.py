@@ -121,10 +121,15 @@ class Catalog(Frozen):
 
     @classmethod
     def from_dict(cls, data: dict) -> "Catalog":
-        ctx = PairContext.from_dict(json_field(data, "context", dict))
+        """The catalog of parsed JSON. Its classes are held to
+        ``check_gram_cap``, as at its first pairing, before W0 is closed."""
+        ctx_data = json_field(data, "context", dict)
         entries = json_field(data, "modules", list)
         if not entries:
             raise ValueError("JSON key 'modules' must not be empty")
+        rs = build_root_system(json_field(ctx_data, "series", str), json_field(ctx_data, "rank", int))
+        check_gram_cap(len(entries), rs)
+        ctx = PairContext.from_dict(ctx_data)
         modules = {}
         for m in entries:
             label = json_field(m, "label", str)

@@ -263,6 +263,26 @@ def test_json_round_trip_with_big_coefficients():
     assert data["terms"] == sorted(data["terms"], key=lambda t: t["w"])
 
 
+def test_a_coefficient_over_the_int_digit_limit_is_refused_by_its_length():
+    import sys
+
+    limit = sys.get_int_max_str_digits()
+    at_limit, over = "-" + "1" * limit, "1" * (limit + 1)
+    assert CharElement.from_dict({"rank": 1, "terms": [{"w": [0], "c": at_limit}]}).terms == {
+        (0,): int(at_limit)
+    }
+    with pytest.raises(ValueError, match=r"'c' of the weight \[0\] must be a decimal integer"):
+        CharElement.from_dict({"rank": 1, "terms": [{"w": [0], "c": over}]})
+    # 0 means no limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert CharElement.from_dict({"rank": 1, "terms": [{"w": [0], "c": over}]}).terms == {
+            (0,): int(over)
+        }
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_exact_division(a2):
     half = half_denominator(a2)
     x = CharElement(2, {(1, 0): 3, (-2, 1): -5, (0, 0): 1})

@@ -1,6 +1,7 @@
 """The command-line surface: commands, emit formats, exit codes, determinism."""
 
 import argparse
+import ast
 import hashlib
 import json
 import re
@@ -15,7 +16,6 @@ import pytest
 from conftest import subprocess_env
 from ellhom import (
     CharElement,
-    InternalConsistencyError,
     compact_catalog,
     compact_context,
     divide_exact,
@@ -346,13 +346,20 @@ def test_malformed_catalogs_are_usage_errors(tmp_path):
     rank_2["modules"][0]["homology"] = None
     flipped_homology = json.loads(good.read_text())
     flipped_homology["modules"][0]["homology"]["positive_system"] = [[-2]]
+    # W0 matrices that are not rank x rank: 1 x 2 in A1, 2 x 3 in A2
+    wide = json.loads(good.read_text())
+    wide["context"]["w0"] = [[[1, 0]]]
+    short = compact_catalog(parse_type("A2"), 0).to_dict()
+    short["context"]["w0"] = [[[1, 0, 0], [0, 1, 0]]]
     cases = (({"modules": []}, "'context'"), ([1, 2], "'context'"),
              (no_homology, "'homology'"), (bad_w0, "'w0'"), (no_modules, "'modules'"),
              (shifted, "'p'"), (repeated, "'p'"), (flipped_ps, "'positive_system'"),
              (twice_weight, "weight [0] twice"), (twice_label, repr(label)),
              ("[" * 100_000, "bad.json"), *odd_coefficients,
              (rank_2, f"class {label!r} has rank 2"),
-             (flipped_homology, f"class {label!r} has homology over a positive system"))
+             (flipped_homology, f"class {label!r} has homology over a positive system"),
+             (wide, "matrix of shape 1 x 2 is not 1 x 1"),
+             (short, "matrix of shape 2 x 3 is not 2 x 2"))
     for data, key in cases:
         path = tmp_path / "bad.json"
         path.write_text(data if isinstance(data, str) else json.dumps(data))
@@ -534,6 +541,27 @@ def test_gram_cap_refuses_a_catalog_file_before_any_pairing(kind, tmp_path, monk
     assert pairs == []
 
 
+def test_gram_cap_refuses_a_catalog_file_before_closing_its_w0(tmp_path):
+    # one class over E7, whose W0 is generated by the simple reflections:
+    # 1 * max(1, |W(E7)|) is over the cap, so the file is refused before the
+    # closure of W(E7) starts
+    e7 = parse_type("E7")
+    data = {
+        "context": {
+            "series": "E", "rank": 7, "equal_rank": True,
+            "positive_system": [list(a) for a in e7.positive_roots],
+            "w0": [[list(row) for row in e7.simple_reflection(i).matrix] for i in range(7)],
+        },
+        "modules": [{"label": "one", "provenance": "external", "homology": None,
+                     "euler": CharElement.one(7).to_dict()}],
+    }
+    path = tmp_path / "e7.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli("pairing", "--catalog", str(path), "--kind", "elliptic", timeout=10)
+    assert proc.returncode == 2
+    assert f"= {e7.weyl_order} exceeds cap {rootsystem.WEYL_CAP}" in proc.stderr
+
+
 def test_unbounded_bounds_are_refused_in_seconds():
     proc = run_cli("pairing", "--preset", "sl2", "--bound", "100000", "--kind", "elliptic", timeout=10)
     assert proc.returncode == 2 and "exceeds cap" in proc.stderr
@@ -554,6 +582,35 @@ def test_gram_cap_admits_the_documented_runs(capsys):
     assert len(compact_catalog(parse_type("A4"), 1).modules) == 16
 
 
+# the exception types main maps to an exit code (ValueError and
+# CapExceededError to 2, AssertionError to 3), which run_suite also catches
+MAPPED_RAISES = {"ValueError", "UnsupportedTypeError", "CapExceededError", "AssertionError"}
+# library-only raises, each allowed where it is raised: (enclosing class or
+# function, exception type)
+LIBRARY_RAISES = {("scale", "TypeError"), ("divide_exact", "ZeroDivisionError"),
+                  ("Frozen", "AttributeError")}
+
+
+def test_every_raise_names_a_type_the_exit_codes_map():
+    src = Path(__file__).resolve().parent.parent / "src" / "ellhom"
+    found = []
+
+    def walk(node, scopes):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.id if isinstance(exc, ast.Name) else ast.dump(exc) if exc else "bare raise"
+            if name not in MAPPED_RAISES and not any((s, name) in LIBRARY_RAISES for s in scopes):
+                found.append(f"{path.name}:{node.lineno}: {name}")
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scopes = scopes + (node.name,)
+        for child in ast.iter_child_nodes(node):
+            walk(child, scopes)
+
+    for path in sorted(src.glob("*.py")):
+        walk(ast.parse(path.read_text()), ())
+    assert found == []
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     def failing_suite(cfg):
         return [{"name": "forced", "inputs": "", "expected": "0", "actual": "1", "pass": False}]
@@ -567,7 +624,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 
 def test_verify_internal_error_is_a_failed_case(monkeypatch, capsys):
     # a bug inside one suite fails that suite; the others still report
-    for error in (InternalConsistencyError, AssertionError, ValueError):
+    for error in (AssertionError, ValueError):
         def broken_suite(cfg):
             raise error("planted")
 
@@ -610,10 +667,9 @@ def test_verify_table_emit(capsys):
     assert "suite abelian:" in text
 
 
-@pytest.mark.parametrize("error", [InternalConsistencyError, AssertionError])
-def test_internal_error_outside_verify_exits_3(monkeypatch, capsys, error):
+def test_internal_error_outside_verify_exits_3(monkeypatch, capsys):
     def broken(lam, rs):
-        raise error("planted")
+        raise AssertionError("planted")
 
     monkeypatch.setattr("ellhom.cli.weyl_character", broken)
     assert main(["char", "--type", "A1", "--weight", "1", "--algorithm", "weyl"]) == 3

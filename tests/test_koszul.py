@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import ellhom.koszul
 
+from ellhom.koszul import normalize_positive_system
 from ellhom import (
     CapExceededError,
     CharElement,
@@ -137,17 +138,52 @@ def test_nonstandard_positive_system_direct(a2):
 def test_input_validation(a2):
     with pytest.raises(ValueError, match="dominant"):
         koszul_n_homology((-1, 0), a2.positive_roots, a2)
-    with pytest.raises(ValueError, match="wrong number"):
+    with pytest.raises(ValueError, match="not a positive system"):
         koszul_n_homology((0, 0), a2.positive_roots[:2], a2)
-    with pytest.raises(ValueError, match="root and its negative"):
+    with pytest.raises(ValueError, match="not a positive system"):
         koszul_n_homology(
             (0, 0),
             (a2.positive_roots[0], tuple(-x for x in a2.positive_roots[0]), a2.positive_roots[2]),
             a2,
         )
     bad = (a2.simple_root(0), a2.simple_root(1), tuple(-x for x in a2.positive_roots[2]))
-    with pytest.raises(ValueError, match="closed under addition"):
+    with pytest.raises(ValueError, match="not a positive system"):
         koszul_n_homology((0, 0), bad, a2)
+
+
+@pytest.mark.parametrize("token", ["A2", "B2", "G2", "B3"])
+def test_positive_systems_are_certified(token):
+    # every w(R+) is accepted and returned sorted. Replacing one of its roots
+    # by any other root (its negative, another negative, or a root already in
+    # the set) is refused, except where that gives another positive system:
+    # negating a simple root of w(R+) gives w s(R+). Listing a root twice is
+    # always refused.
+    rs = parse_type(token)
+    systems = {tuple(sorted(w.act(a) for a in rs.positive_roots)) for w in rs.weyl_group()}
+    assert len(systems) == rs.weyl_order
+    accepted = 0
+    for ps in map(list, systems):
+        assert normalize_positive_system(reversed(ps), rs) == tuple(ps)
+        for i, alpha in enumerate(ps):
+            for beta in rs.full_roots:
+                if beta == alpha:
+                    continue
+                changed = ps[:i] + [beta] + ps[i + 1:]
+                if tuple(sorted(changed)) in systems:
+                    assert beta == tuple(-x for x in alpha)
+                    assert normalize_positive_system(changed, rs) == tuple(sorted(changed))
+                    accepted += 1
+                else:
+                    with pytest.raises(ValueError, match="not a positive system"):
+                        normalize_positive_system(changed, rs)
+            with pytest.raises(ValueError, match="not a positive system"):
+                normalize_positive_system(ps + [alpha], rs)
+    # each system has rank simple roots to negate
+    assert accepted == rs.rank * rs.weyl_order
+    # a root one coordinate too long or too short is refused by its length
+    for root in (rs.positive_roots[0] + (0,), rs.positive_roots[0][:-1]):
+        with pytest.raises(ValueError, match=f"does not have rank {rs.rank}"):
+            normalize_positive_system((root,) + rs.positive_roots[1:], rs)
 
 
 def test_dimension_cap(a2):
