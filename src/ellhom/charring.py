@@ -23,7 +23,7 @@ from math import prod
 from numbers import Rational
 from operator import add, le, mul, neg, sub
 
-from .rootsystem import RootSystem, Weight, WeylElement, check_weyl_cap
+from .rootsystem import RootSystem, Weight, WeylElement, check_gram_cap
 
 _JSON_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
                bool: "true or false", type(None): "null"}
@@ -200,9 +200,6 @@ class CharElement:
     def coefficient(self, mu: Weight) -> int:
         return self.terms.get(tuple(mu), 0)
 
-    def constant_term(self) -> int:
-        return self.terms.get(tuple([0] * self.rank), 0)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -218,9 +215,6 @@ class CharElement:
             and self.rank == other.rank
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -249,9 +243,15 @@ class CharElement:
             c = json_field(t, "c", str)
             digits = c.removeprefix("-")  # the form to_dict writes: no space, "+" or "_"
             limit = sys.get_int_max_str_digits()  # 0: no limit
-            if not (digits.isascii() and digits.isdigit()) or 0 < limit < len(digits):
+            if not (digits.isascii() and digits.isdigit()):
                 raise ValueError(
-                    f"JSON key 'c' of the weight {list(mu)} must be a decimal integer, got {c!r}"
+                    f"JSON key 'c' of the weight {list(mu)} must be a decimal integer,"
+                    f" got {c[:20]!r}{'...' if len(c) > 20 else ''}"
+                )
+            if 0 < limit < len(digits):
+                raise ValueError(
+                    f"JSON key 'c' of the weight {list(mu)} has {len(digits)} digits,"
+                    f" more than the limit of {limit}"
                 )
             terms[mu] = int(c)
         return cls(json_field(data, "rank", int), terms)
@@ -309,7 +309,7 @@ def weyl_act(w: WeylElement, a: CharElement) -> CharElement:
 
 def torus_integral(a: CharElement) -> int:
     """Normalized Haar integral over the torus: the coefficient of e^0."""
-    return a.constant_term()
+    return a.terms.get(tuple([0] * a.rank), 0)
 
 
 def torus_pairing(a: CharElement, b: CharElement) -> int:
@@ -359,16 +359,18 @@ def root_product(roots, rank: int) -> CharElement:
 
 def weyl_denominator_full(rs: RootSystem) -> CharElement:
     """D = prod over all roots of (1 - e^alpha) = P * conj(P), expanded on
-    each call; it has at least |W| terms, so check_weyl_cap first. Nothing in
-    ellhom calls it; it is kept for the benchmark and tests."""
-    check_weyl_cap(rs)
+    each call; it has at least |W| terms, so ``check_gram_cap(1, rs)``
+    first. Nothing in ellhom calls it; it is kept for the benchmark and
+    tests."""
+    check_gram_cap(1, rs)
     return root_product(rs.full_roots, rs.rank)
 
 
 def half_denominator(rs: RootSystem) -> CharElement:
     """prod over positive roots of (1 - e^alpha), expanded once per root
-    system and kept on it; it has |W| terms, so check_weyl_cap first."""
-    check_weyl_cap(rs)
+    system and kept on it; it has |W| terms, so ``check_gram_cap(1, rs)``
+    first."""
+    check_gram_cap(1, rs)
     if rs._half_denominator is None:
         rs._half_denominator = root_product(rs.positive_roots, rs.rank)
     return rs._half_denominator

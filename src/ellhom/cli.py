@@ -6,10 +6,11 @@ only on the subcommands that read it (``--timing`` only on ``verify``), and
 ``pairing`` rejects ``--preset`` with ``--catalog``, and ``--type`` and
 ``--bound`` with a catalog source that does not read them. A root system is
 named by one ``--type`` token such as ``A2``. Every input has one flag; there
-is no config file. The caps are fixed: ``rootsystem.WEYL_CAP`` on Weyl
-groups and on n * max(n, |W|) for n classes (n = |W| for ``weyldenom``),
-``koszul.DIM_CAP`` on modules and ``koszul.COMPLEX_DIM_CAP`` on chain
-complexes.
+is no config file. The caps are fixed: ``rootsystem.WEYL_CAP`` on
+n * max(n, |W|) by one rule (n = 1 to enumerate W or expand a Weyl
+denominator, n classes for a pairing matrix, n = |W| for ``weyldenom``)
+and on each insert of a subgroup closure, ``koszul.DIM_CAP`` on modules
+and ``koszul.COMPLEX_DIM_CAP`` on chain complexes.
 
 Exit codes: 0 all good, 1 verification failure, 2 usage error (a
 ValueError, or a CapExceededError for a cap hit), 3 internal error (an
@@ -134,7 +135,7 @@ def cmd_pairing(args) -> int:
     ctx_summary = {
         "series": ctx.rs.series,
         "rank": ctx.rs.rank,
-        "w0_order": ctx.w0_order,
+        "w0_order": ctx.w0.order,
     }
     if args.kind == "multiplicity":
         # x = P * chi with chi W-invariant (P the half denominator) exactly

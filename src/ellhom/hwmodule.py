@@ -2,8 +2,9 @@
 
 The basis of V_lam is numbered 0..dim-1 from the highest weight down:
 `spaces` maps each weight to the range of its basis numbers and
-`weight_of` maps each basis number back to its weight. Every operator,
-simple (e_i, f_i) or not (operator(root)), is one pair (map, d): an
+`weight_of` maps each basis number back to its weight. Every root-vector
+operator, operator(root), with e_i = operator(alpha_i) and
+f_i = operator(-alpha_i), is one pair (map, d): an
 integer sparse map {v: {t: n}} and one positive denominator d, sending
 basis vector v to sum_t (n / d) * basis vector t. The map holds only
 nonzero entries and the pair is in lowest terms: the gcd of d and all the
@@ -118,8 +119,7 @@ class HighestWeightModule:
         self.weight_of: list[Weight] = []
         # gram[v][u]: the contravariant form on basis vectors of one weight
         self.gram: dict[int, dict[int, int]] = {}
-        self.e: list[SparseOperator] = []
-        self.f: list[SparseOperator] = []
+        # root -> operator; _build puts e_i and f_i under alpha_i and -alpha_i
         self._op_cache: dict[Weight, SparseOperator] = {}
         self._build()
 
@@ -144,8 +144,9 @@ class HighestWeightModule:
         while level:
             below = {tuple(x - a for x, a in zip(w, alpha)) for w in level for alpha in simples}
             level = [nu for nu in sorted(below) if self._process_weight(nu, e_cols, f_cols)]
-        self.e = [_operator(cols) for cols in e_cols]
-        self.f = [_operator(cols) for cols in f_cols]
+        for alpha, e, f in zip(simples, e_cols, f_cols):
+            self._op_cache[alpha] = _operator(e)
+            self._op_cache[tuple(-x for x in alpha)] = _operator(f)
 
     def _process_weight(self, nu: Weight, e_cols, f_cols) -> bool:
         # candidate (i, b) is f_i applied to basis vector b of weight nu + alpha_i
@@ -203,7 +204,8 @@ class HighestWeightModule:
     # -- root-vector operators -------------------------------------------------
 
     def operator(self, root: Weight) -> SparseOperator:
-        """The sparse map of a root vector x_root on the module. The basis of
+        """The sparse map of a root vector x_root on the module. For a simple
+        root it is e_i or f_i, built with the module; otherwise the basis of
         the root space is fixed by the recursion x_beta = [x_{alpha_i},
         x_{beta - alpha_i}] with i minimal, so the same operator is
         reproducible in every module."""
@@ -216,17 +218,14 @@ class HighestWeightModule:
             raise ValueError(f"{root} is not a root")
         positive = root in rs._positive_set
         base = root if positive else tuple(-x for x in root)
-        if base in rs.simple_roots:
-            op = (self.e if positive else self.f)[rs.simple_roots.index(base)]
-        else:
-            alpha = next(
-                a for a in rs.simple_roots
-                if rs.is_positive_root(tuple(b - x for b, x in zip(base, a)))
-            )
-            gamma = tuple(b - x for b, x in zip(base, alpha))
-            if not positive:
-                alpha, gamma = tuple(-x for x in alpha), tuple(-x for x in gamma)
-            op = _commutator(self.operator(alpha), self.operator(gamma))
+        alpha = next(
+            a for a in rs.simple_roots
+            if rs.is_positive_root(tuple(b - x for b, x in zip(base, a)))
+        )
+        gamma = tuple(b - x for b, x in zip(base, alpha))
+        if not positive:
+            alpha, gamma = tuple(-x for x in alpha), tuple(-x for x in gamma)
+        op = _commutator(self.operator(alpha), self.operator(gamma))
         self._op_cache[root] = op
         return op
 

@@ -57,10 +57,6 @@ class PairContext(Frozen):
                 raise ValueError("W0 element rank does not match the root system")
 
     @property
-    def w0_order(self) -> int:
-        return self.w0.order
-
-    @property
     def w0_is_full(self) -> bool:
         return self.w0.order == self.rs.weyl_order
 
@@ -114,13 +110,13 @@ def gram(kind: str, classes, ctx: PairContext) -> list[list[Fraction]]:
         classes = [half * chi for chi in classes]
     elif kind != "elliptic":
         raise ValueError(f"unknown pairing kind {kind!r}")
-    return [[Fraction(torus_pairing(x, y), ctx.w0_order) for y in classes] for x in classes]
+    return [[Fraction(torus_pairing(x, y), ctx.w0.order) for y in classes] for x in classes]
 
 
 def elliptic_pairing(xi_u: CharElement, xi_v: CharElement, ctx: PairContext) -> Fraction:
     """(1/[W0]) * CT(Xi_U * conj(Xi_V)) on Euler classes."""
     _check_rank(ctx, xi_u, xi_v)
-    return Fraction(torus_pairing(xi_u, xi_v), ctx.w0_order)
+    return Fraction(torus_pairing(xi_u, xi_v), ctx.w0.order)
 
 
 def homological_pairing(h_u: GradedHomology, h_v: GradedHomology, ctx: PairContext) -> Fraction:
@@ -137,7 +133,7 @@ def homological_pairing(h_u: GradedHomology, h_v: GradedHomology, ctx: PairConte
         raise ValueError("positive-system mismatch between the two homologies")
     if h_u.positive_system != ctx.positive_system:
         raise ValueError("homologies are not over the context's positive system")
-    return Fraction(torus_pairing(euler_class(h_u), euler_class(h_v)), ctx.w0_order)
+    return Fraction(torus_pairing(euler_class(h_u), euler_class(h_v)), ctx.w0.order)
 
 
 def ext_abelian_graded(nu, d: int) -> list[int]:

@@ -130,11 +130,16 @@ def _matmul(a, b) -> tuple[tuple[int, ...], ...]:
     return tuple(_matvec(cols, row) for row in a)
 
 
-class WeylElement(namedtuple("WeylElement", "matrix length sign")):
+class WeylElement(namedtuple("WeylElement", "matrix length")):
     """A Weyl group element as an integer matrix on weight coordinates,
-    with its length and sign; equal and hashed by value."""
+    with its length; equal and hashed by value. Its sign is derived from
+    the length."""
 
     __slots__ = ()
+
+    @property
+    def sign(self) -> int:
+        return (-1) ** self.length
 
     @property
     def rank(self) -> int:
@@ -162,12 +167,13 @@ class Frozen:
 
 
 class WeylSubgroup(Frozen):
-    """A subgroup of W given by an explicit, closed element list.
-    Immutable; membership is by matrix."""
+    """A subgroup of W given by an explicit, closed element list, kept in
+    (length, matrix) order. Immutable; membership is by matrix."""
 
     __slots__ = ("elements", "_matrices")
 
-    def __init__(self, elements: tuple[WeylElement, ...]):
+    def __init__(self, elements):
+        elements = tuple(sorted(elements, key=lambda w: (w.length, w.matrix)))
         self._set(elements=elements, _matrices=frozenset(u.matrix for u in elements))
 
     @property
@@ -239,9 +245,8 @@ class RootSystem:
         )
 
     def _generate_positive_roots(self) -> tuple[Weight, ...]:
-        simples = [self.simple_root(i) for i in range(self.rank)]
-        roots = set(simples)
-        frontier = list(simples)
+        roots = set(self.simple_roots)
+        frontier = list(self.simple_roots)
         while frontier:
             new = []
             for beta in frontier:
@@ -266,9 +271,6 @@ class RootSystem:
         return tuple(beta for _, beta in sorted(positive))
 
     # -- lattice helpers -------------------------------------------------------
-
-    def simple_root(self, i: int) -> Weight:
-        return self.simple_roots[i]
 
     def _require_rank(self, mu: Weight) -> None:
         if len(mu) != self.rank:
@@ -326,17 +328,12 @@ class RootSystem:
                 return mu, word
 
     def _with_length(self, matrix) -> WeylElement:
-        """The Weyl element of a matrix already known to lie in W, with its
-        length #{alpha > 0 : w(alpha) < 0}; ValueError unless the matrix
-        permutes the roots."""
-        inv = 0
-        for alpha in self.positive_roots:
-            img = _matvec(matrix, alpha)
-            if img not in self._positive_set:
-                if img not in self._full_set:
-                    raise ValueError("matrix does not permute the roots")
-                inv += 1
-        return WeylElement(matrix=matrix, length=inv, sign=(-1) ** inv)
+        """The Weyl element of a matrix that lies in W (a product of
+        simple reflections or of Weyl elements), with its length
+        #{alpha > 0 : w(alpha) < 0}. Nothing is certified."""
+        positive = self._positive_set
+        length = sum(_matvec(matrix, alpha) not in positive for alpha in self.positive_roots)
+        return WeylElement(matrix, length)
 
     def element_from_matrix(self, matrix) -> WeylElement:
         """Certify an integer matrix from outside as an element of W, with
@@ -344,29 +341,31 @@ class RootSystem:
         not rank x rank. Run it only on matrices from outside: a product of
         Weyl elements lies in W and needs only its length.
 
-        Membership in W itself (not just Aut(R), which can be larger by
-        diagram automorphisms) is certified by walking m*rho back to the
-        dominant chamber and requiring the word to reproduce m: rho is
-        regular, so W acts simply transitively on its orbit."""
+        The chamber walk is the whole certificate: walk m*rho back to the
+        dominant chamber and require the word's product u to be m. If it
+        is, m lies in W. If m lies in W, u^-1 m rho is dominant and in the
+        W-orbit of rho, so it is rho; rho is regular, so u^-1 m = 1. This
+        refuses every matrix outside W, among them those that permute the
+        roots, such as -1 in A2 or a diagram automorphism."""
         matrix = tuple(tuple(int(v) for v in row) for row in matrix)
         cols = sorted({len(row) for row in matrix})
         if len(matrix) != self.rank or cols != [self.rank]:
             shape = f"{len(matrix)} x {'/'.join(map(str, cols)) or 0}"
             raise ValueError(f"matrix of shape {shape} is not {self.rank} x {self.rank}")
-        element = self._with_length(matrix)
-        mu, word = self.dominant_walk(map(sum, matrix))  # m * rho
-        if mu != self.rho or self.from_word(word).matrix != matrix:
-            raise ValueError("matrix permutes the roots but does not lie in the Weyl group")
+        _, word = self.dominant_walk(map(sum, matrix))  # m * rho
+        element = self.from_word(word)
+        if element.matrix != matrix:
+            raise ValueError("matrix does not lie in the Weyl group")
         return element
 
     def identity_element(self) -> WeylElement:
         eye = tuple(tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank))
-        return WeylElement(matrix=eye, length=0, sign=1)
+        return WeylElement(eye, 0)
 
     def simple_reflection(self, i: int) -> WeylElement:
         if not 0 <= i < self.rank:
             raise ValueError(f"simple reflection index {i} is not in 0..{self.rank - 1}")
-        return WeylElement(matrix=self._simple_reflection_matrices[i], length=1, sign=-1)
+        return WeylElement(self._simple_reflection_matrices[i], 1)
 
     def from_word(self, word) -> WeylElement:
         """The product s_{i_1} ... s_{i_k} of the simple reflections in
@@ -428,23 +427,13 @@ def parse_type(token: str) -> RootSystem:
     return build_root_system(token[0], token[1:])
 
 
-def check_weyl_cap(rs: RootSystem) -> int:
-    """|W| of rs, or CapExceededError when it exceeds WEYL_CAP (read at
-    call time). Called before any work with at least |W| elements or
-    terms: enumerating W, or expanding a Weyl denominator."""
-    if rs.weyl_order > WEYL_CAP:
-        raise CapExceededError(
-            f"group too large: |W({rs.series}{rs.rank})| = {rs.weyl_order} exceeds cap {WEYL_CAP}"
-        )
-    return rs.weyl_order
-
-
 def check_gram_cap(n: int, rs: RootSystem) -> None:
     """CapExceededError when n * max(n, |W|) exceeds WEYL_CAP (read at call
-    time): for n classes or weights over rs, their n^2 pairings, each over
-    classes of about |W| terms; for n = |W|, |W| expansions of at least |W|
-    terms each. Called before W is enumerated and before the first class
-    is built."""
+    time), the one rule for work sized by W: for n = 1, enumerating W or
+    expanding one Weyl denominator (|W| elements or terms); for n classes
+    or weights over rs, their n^2 pairings, each over classes of about |W|
+    terms; for n = |W|, |W| expansions of at least |W| terms each. Called
+    before W is enumerated and before the first class is built."""
     work = n * max(n, rs.weyl_order)
     if work > WEYL_CAP:
         raise CapExceededError(
@@ -454,21 +443,22 @@ def check_gram_cap(n: int, rs: RootSystem) -> None:
 
 def enumerate_weyl_group(rs: RootSystem) -> WeylSubgroup:
     """Breadth-first closure of the simple reflections; the full W, or
-    CapExceededError before any work when its order exceeds WEYL_CAP.
+    CapExceededError from ``check_gram_cap(1, rs)`` before any work when
+    its order exceeds WEYL_CAP.
 
     Right multiplication by s_i changes only column i of a matrix:
     s_i = 1 - alpha_i e_i^T, so col_i(w s_i) = col_i(w) - w alpha_i, one
     dot product per row instead of a full matrix product. The BFS depth at
     which an element first appears is its length.
     """
-    predicted = check_weyl_cap(rs)
+    check_gram_cap(1, rs)
+    predicted = rs.weyl_order
     identity = rs.identity_element()
     seen = {identity.matrix: identity}
     frontier = [identity.matrix]
     depth = 0
     while frontier:
         depth += 1
-        sign = (-1) ** depth
         new = []
         for m in frontier:
             for i, alpha in enumerate(rs.simple_roots):
@@ -478,15 +468,14 @@ def enumerate_weyl_group(rs: RootSystem) -> WeylSubgroup:
                 if prod not in seen:
                     if len(seen) >= predicted:
                         raise AssertionError(f"enumerated more than {predicted} Weyl elements")
-                    seen[prod] = WeylElement(matrix=prod, length=depth, sign=sign)
+                    seen[prod] = WeylElement(prod, depth)
                     new.append(prod)
         frontier = new
     if len(seen) != predicted:
         raise AssertionError(
             f"enumerated {len(seen)} Weyl elements, expected {predicted}"
         )
-    elements = sorted(seen.values(), key=lambda w: (w.length, w.matrix))
-    return WeylSubgroup(elements=tuple(elements))
+    return WeylSubgroup(seen.values())
 
 
 def subgroup_from_generators(rs: RootSystem, generators) -> WeylSubgroup:
@@ -497,7 +486,8 @@ def subgroup_from_generators(rs: RootSystem, generators) -> WeylSubgroup:
     ``element_from_matrix`` and kept, and the closure is taken again from
     all elements seen so far under the generators kept. W is closed under
     products, so a closure product needs only its length. WEYL_CAP is
-    checked before each insert. Each round ends closed under right
+    checked before each insert, so it bounds the closure actually built
+    and a small subgroup of a large W stays cheap. Each round ends closed under right
     multiplication by the kept generators, which in a finite group makes it
     the subgroup they generate.
     """
@@ -527,12 +517,11 @@ def subgroup_from_generators(rs: RootSystem, generators) -> WeylSubgroup:
                         insert(rs._with_length(prod))
                         new.append(prod)
             frontier = new
-    elements = sorted(seen.values(), key=lambda w: (w.length, w.matrix))
-    return WeylSubgroup(elements=tuple(elements))
+    return WeylSubgroup(seen.values())
 
 
 def trivial_subgroup(rs: RootSystem) -> WeylSubgroup:
-    return WeylSubgroup(elements=(rs.identity_element(),))
+    return WeylSubgroup((rs.identity_element(),))
 
 
 def rho_shift(w: WeylElement, rs: RootSystem) -> Weight:

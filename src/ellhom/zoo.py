@@ -151,13 +151,14 @@ class Catalog(Frozen):
 
     @classmethod
     def load(cls, path) -> "Catalog":
-        """The catalog saved at path. A file nested too deeply for the JSON
-        parser is a ValueError naming the file, like any malformed one."""
+        """The catalog saved at path. A file the JSON parser refuses (not
+        JSON, nested too deeply, or an integer with too many digits) is a
+        ValueError naming the file, like any malformed one."""
         with open(path) as fh:
             try:
                 data = json.load(fh)
-            except RecursionError:
-                raise ValueError(f"catalog file {path} is nested too deeply to parse") from None
+            except (RecursionError, ValueError) as exc:
+                raise ValueError(f"catalog file {path} does not parse as JSON: {exc}") from None
         return cls.from_dict(data)
 
 

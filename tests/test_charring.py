@@ -56,8 +56,8 @@ def test_monomial_products(a1, a2):
     omega = CharElement.monomial((1,)) + CharElement.monomial((-1,))
     square = omega * omega
     assert square == CharElement(1, {(2,): 1, (0,): 2, (-2,): 1})
-    e1 = CharElement.monomial(a2.simple_root(0))
-    e2 = CharElement.monomial(a2.simple_root(1))
+    e1 = CharElement.monomial(a2.simple_roots[0])
+    e2 = CharElement.monomial(a2.simple_roots[1])
     assert e1 * e2 == CharElement.monomial((1, 1))
 
 
@@ -170,13 +170,14 @@ def test_full_denominator_constant_term(token, order):
 
 def test_denominators_refuse_a_weyl_group_over_the_cap(monkeypatch):
     # both expansions have at least |W| terms: |W(F4)| = 1152 is over a cap
-    # of 1000, and the cap is read at call time, so neither product is made
+    # of 1000, and the cap is read at call time, so neither product is made;
+    # the rule is check_gram_cap's with n = 1
     from ellhom import CapExceededError, rootsystem
 
     f4 = parse_type("F4")
     monkeypatch.setattr(rootsystem, "WEYL_CAP", 1000)
     for denominator in (half_denominator, weyl_denominator_full):
-        with pytest.raises(CapExceededError, match=r"\|W\(F4\)\| = 1152 exceeds cap 1000"):
+        with pytest.raises(CapExceededError, match=r"1 \* max\(1, \|W\(F4\)\|\) = 1152 exceeds cap 1000"):
             denominator(f4)
 
 
@@ -186,7 +187,7 @@ def test_half_denominator(a1, a2, b2):
     half = half_denominator(a2)
     assert half.terms == expected_a2
     assert len(half.terms) == 6
-    assert half.constant_term() == 1
+    assert torus_integral(half) == 1
     assert half.coefficient((2, 2)) == -1
     for rs in (a1, a2, b2):
         h = half_denominator(rs)
@@ -271,7 +272,8 @@ def test_a_coefficient_over_the_int_digit_limit_is_refused_by_its_length():
     assert CharElement.from_dict({"rank": 1, "terms": [{"w": [0], "c": at_limit}]}).terms == {
         (0,): int(at_limit)
     }
-    with pytest.raises(ValueError, match=r"'c' of the weight \[0\] must be a decimal integer"):
+    with pytest.raises(ValueError, match=rf"'c' of the weight \[0\] has {limit + 1} digits,"
+                                         rf" more than the limit of {limit}"):
         CharElement.from_dict({"rank": 1, "terms": [{"w": [0], "c": over}]})
     # 0 means no limit
     sys.set_int_max_str_digits(0)
@@ -281,6 +283,22 @@ def test_a_coefficient_over_the_int_digit_limit_is_refused_by_its_length():
         }
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_a_refused_coefficient_is_quoted_short():
+    # refused for its length (over the default limit of 4300 digits), or for
+    # its form: either way the message names the key and the weight, and
+    # does not quote all 5000 characters
+    for c, reason in (("1" * 5000, "has 5000 digits"), ("x" * 5000, "must be a decimal integer")):
+        with pytest.raises(ValueError, match=rf"'c' of the weight \[0\] {reason}") as info:
+            CharElement.from_dict({"rank": 1, "terms": [{"w": [0], "c": c}]})
+        assert len(str(info.value)) < 200
+
+
+def test_a_character_is_not_hashable():
+    # equal by content but mutable, so a content hash could go stale
+    with pytest.raises(TypeError):
+        hash(CharElement.monomial((0,)))
 
 
 def test_exact_division(a2):

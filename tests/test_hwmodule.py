@@ -46,7 +46,7 @@ def test_cartan_commutator_is_diagonal(a2):
     # [e_i, f_i] must act on each weight space as the i-th coordinate
     mod = module_for(a2, (1, 1))
     for i in range(2):
-        alpha = a2.simple_root(i)
+        alpha = a2.simple_roots[i]
         neg = tuple(-x for x in alpha)
         h = _fractions(_commutator(mod.operator(alpha), mod.operator(neg)))
         for v, image in h.items():

@@ -146,7 +146,7 @@ def test_input_validation(a2):
             (a2.positive_roots[0], tuple(-x for x in a2.positive_roots[0]), a2.positive_roots[2]),
             a2,
         )
-    bad = (a2.simple_root(0), a2.simple_root(1), tuple(-x for x in a2.positive_roots[2]))
+    bad = (a2.simple_roots[0], a2.simple_roots[1], tuple(-x for x in a2.positive_roots[2]))
     with pytest.raises(ValueError, match="not a positive system"):
         koszul_n_homology((0, 0), bad, a2)
 
@@ -354,7 +354,7 @@ def test_homological_pairing_is_the_double_sum_over_degree_pairs(xs, ys):
     )
     value = homological_pairing(graded(xs), graded(ys), A2_CTX)
     assert type(value) is Fraction
-    assert value == Fraction(double_sum, A2_CTX.w0_order)
+    assert value == Fraction(double_sum, A2_CTX.w0.order)
 
 
 @given(xs=degree_lists(), ys=degree_lists(), c=st.integers(-3, 3))

@@ -347,7 +347,7 @@ def test_homological_pairing_is_biadditive(a1):
 
 def test_custom_context_closure_validation(a2):
     ctx = PairContext(a2, subgroup_from_generators(a2, [a2.simple_reflection(0)]))
-    assert ctx.w0_order == 2
+    assert ctx.w0.order == 2
     assert not ctx.w0_is_full
     simple = [a2.simple_reflection(0), a2.simple_reflection(1)]
     full = PairContext(a2, subgroup_from_generators(a2, simple))
@@ -366,7 +366,7 @@ def test_compact_chain_small(b2):
             delta = 1 if lam == mu else 0
             m, e = ms[i][j], es[i][j]
             assert m == e == delta
-            assert (e * ctx.w0_order).denominator == 1
+            assert (e * ctx.w0.order).denominator == 1
 
 
 def test_context_rejects_a_w0_element_of_another_rank(a1, a2):

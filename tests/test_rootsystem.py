@@ -136,7 +136,7 @@ def test_root_system_invariants(a2, b2, g2):
         assert len(set(rs.full_roots)) == len(rs.full_roots)
         for i in range(rs.rank):
             col = tuple(rs.cartan[k][i] for k in range(rs.rank))
-            assert rs.simple_root(i) == col
+            assert rs.simple_roots[i] == col
         for beta in rs.positive_roots:
             coords = rs.root_coords(beta)
             assert all(x.denominator == 1 and x >= 0 for x in coords)
@@ -157,7 +157,7 @@ def test_integer_height_functional(series, rank):
         assert dot == rs.height_scale * sum(rs.root_coords(mu))
         assert rs.height(mu) == sum(rs.root_coords(mu))
     for i in range(rank):
-        assert rs.height(rs.simple_root(i)) == 1
+        assert rs.height(rs.simple_roots[i]) == 1
     with pytest.raises(ValueError, match="rank"):
         rs.height((1,) * (rank + 1))
 
@@ -235,10 +235,10 @@ def test_weyl_enumeration_against_closure_oracle(series, rank):
 
 
 def test_weyl_cap_is_enforced():
-    # |W(E7)| = 2,903,040 > WEYL_CAP; the cap is checked before enumerating
+    # |W(E7)| = 2,903,040 > WEYL_CAP; check_gram_cap(1, rs) runs before enumerating
     e7 = parse_type("E7")
     assert e7.weyl_order > rootsystem.WEYL_CAP
-    with pytest.raises(CapExceededError, match="group too large"):
+    with pytest.raises(CapExceededError, match=r"1 \* max\(1, \|W\(E7\)\|\) = 2903040"):
         enumerate_weyl_group(e7)
 
 
@@ -306,7 +306,7 @@ def test_subgroup_from_generators(a2):
     full = subgroup_from_generators(a2, [a2.simple_reflection(i) for i in range(2)])
     assert full.order == 6
     assert trivial_subgroup(a2).order == 1
-    with pytest.raises(ValueError, match="permute"):
+    with pytest.raises(ValueError, match="does not lie in the Weyl group"):
         a2.element_from_matrix(((1, 1), (0, 1)))
 
 
@@ -409,10 +409,26 @@ def test_outer_automorphisms_are_rejected(a2):
         d4.element_from_matrix(tri)
 
 
+def test_the_chamber_walk_is_the_one_membership_certificate():
+    for token in ("A2", "B2", "G2", "A3"):
+        rs = parse_type(token)
+        for w in rs.weyl_group():
+            assert rs.element_from_matrix(w.matrix) == w
+            assert w.sign == (-1) ** w.length
+    a1, a2 = parse_type("A1"), parse_type("A2")
+    # a shear, -1 (it permutes the roots of A2 but is not in W(A2)), zero,
+    # 2 * 1 in A1 and the A2 diagram swap
+    refused = ((a2, ((1, 1), (0, 1))), (a2, ((-1, 0), (0, -1))), (a2, ((0, 0), (0, 0))),
+               (a1, ((2,),)), (a2, ((0, 1), (1, 0))))
+    for rs, matrix in refused:
+        with pytest.raises(ValueError, match="does not lie in the Weyl group"):
+            rs.element_from_matrix(matrix)
+
+
 def test_weyl_elements_are_equal_and_hashed_by_value(a2):
     group = a2.weyl_group()
     s0 = a2.simple_reflection(0)
-    again = rootsystem.WeylElement(matrix=s0.matrix, length=1, sign=-1)
+    again = rootsystem.WeylElement(matrix=s0.matrix, length=1)
     assert again == s0 and hash(again) == hash(s0)
     assert a2.element_from_matrix(s0.matrix) == s0
     assert s0 != a2.identity_element() and s0 != a2.simple_reflection(1)

@@ -212,14 +212,14 @@ def test_catalog_with_user_supplied_w0(b2, tmp_path):
     # W0 enters as an explicit generator list, is closed and validated, and
     # survives the catalog file format; here W0 = <s_0> of order 2 in W(B2)
     ctx = PairContext(b2, subgroup_from_generators(b2, [b2.simple_reflection(0)]))
-    assert ctx.w0_order == 2
+    assert ctx.w0.order == 2
     vm = VirtualModule(label="std", euler=standard_module_class((2, 1), 1, ctx))
     assert len(vm.euler.terms) == 2  # two-element W0 sum
     cat = Catalog(context=ctx, modules=(vm,))
     path = tmp_path / "w0.json"
     cat.save(path)
     reloaded = Catalog.load(path)
-    assert reloaded.context.w0_order == 2
+    assert reloaded.context.w0.order == 2
     m = reloaded.modules[0]
     assert m.euler == vm.euler
     assert elliptic_pairing(m.euler, m.euler, reloaded.context) == elliptic_pairing(
